@@ -24,9 +24,6 @@ write ``BASE.csv`` and ``BASE.json`` where BASE is ``--out`` or the
 config's output path.  JSON carries full precision; CSV rounds to 12
 significant digits.  Runs are deterministic: identical config and seed
 give byte-identical outputs.
-
-The environment variable ``IMEXBDF_THREADS`` caps the thread count of
-the underlying BLAS/FFT pools (exported to OMP/OpenBLAS/MKL).
 """
 
 from __future__ import annotations
@@ -59,26 +56,9 @@ from .imex_stepper import bootstrap_starting_values, make_starting_values, run
 from .norms import parse_norm_token, spatial_norm
 from .stability import stability_report, von_neumann_sweep
 
-THREADS_ENV_VAR = "IMEXBDF_THREADS"
-
 
 class OrderCheckFailure(ImexBdfError):
     """Fitted order fell short under --assert-order."""
-
-
-def _apply_thread_limit() -> None:
-    value = os.environ.get(THREADS_ENV_VAR)
-    if not value:
-        return
-    if not value.isdigit() or int(value) < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = value
 
 
 def _add_k(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -424,7 +404,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_limit()
         if getattr(args, "k", None) is not None and not 1 <= args.k <= MAX_STEP_NUMBER:
             raise ConfigError(
                 f"scheme.k must be an integer in 1..{MAX_STEP_NUMBER}, got {args.k}"

@@ -7,9 +7,10 @@ One step solves
 
 so each step costs exactly one shifted linear solve.  The implicit side
 sees only A, the explicit side only B, both through the operator
-interfaces.  A run marches the recursion at fixed step size and flags
-divergence instead of raising, so threshold experiments can treat
-blow-up as data.
+interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
+node time t_j, and reused by the k steps that need it.  A run marches
+the recursion at fixed step size and flags divergence instead of
+raising, so threshold experiments can treat blow-up as data.
 
 Runs are sequential in n; different runs share no mutable state and can
 execute concurrently.
@@ -17,7 +18,7 @@ execute concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,6 @@ class Trajectory:
     states: list[np.ndarray]
     grid: object
     blow_up: int | None = None
-    solve_diagnostics: list[dict] = field(default_factory=list)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -52,51 +52,38 @@ class Trajectory:
         return self.blow_up is None
 
 
-class _ForcedTerm:
-    """Explicit term plus a state-independent forcing, evaluated at the
-    same explicit time points and gamma-combined alongside it."""
-
-    def __init__(self, term, forcing):
-        self.term = term
-        self.forcing = forcing
-
-    def evaluate(self, t, v):
-        out = self.forcing(t)
-        if self.term is not None:
-            out = out + self.term.evaluate(t, v)
-        return out
-
-
 def imex_step(
     scheme: BdfScheme,
     A,
-    B,
+    explicit: list[np.ndarray] | None,
     history: list[np.ndarray],
     t_n: float,
     tau: float,
     extra_rhs=None,
 ):
     """Advance one step.  ``history`` holds the last k states oldest
-    first, so ``history[k-i]`` is u_{n-i}.  ``extra_rhs`` is an optional
-    state added to the right-hand side before the solve (implicit-side
-    forcing)."""
+    first, so ``history[k-i]`` is u_{n-i}.  ``explicit`` holds the
+    explicit values B(t_j, u_j) (plus any explicit forcing) at the same
+    k nodes in the same order, or is None when there is no explicit
+    side.  ``extra_rhs`` is an optional state added to the right-hand
+    side before the solve (implicit-side forcing)."""
     k = scheme.k
     if len(history) != k:
         raise DomainError(f"history must hold exactly {k} states, got {len(history)}")
+    if explicit is not None and len(explicit) != k:
+        raise DomainError(f"need exactly {k} explicit values, got {len(explicit)}")
     if tau <= 0.0:
         raise DomainError(f"step size must be positive, got {tau}")
-    for j, state in enumerate(history):
-        if not np.all(np.isfinite(np.asarray(state, dtype=complex))):
-            raise StepError(f"non-finite value in history entry {j}")
     delta = scheme.delta_f
     gamma = scheme.gamma_f
     rhs = np.zeros_like(np.asarray(history[-1], dtype=complex))
     for i in range(1, k + 1):
         rhs -= (delta[i] / tau) * np.asarray(history[k - i], dtype=complex)
-    if B is not None:
+    if not np.all(np.isfinite(rhs)):
+        raise StepError("non-finite value in the state history")
+    if explicit is not None:
         for i in range(k):
-            t_exp = t_n - (i + 1) * tau
-            rhs += gamma[i] * B.evaluate(t_exp, history[k - i - 1])
+            rhs += gamma[i] * explicit[k - i - 1]
     if extra_rhs is not None:
         rhs = rhs + extra_rhs
     sigma = delta[0] / tau
@@ -123,10 +110,12 @@ def run(
     """March the recursion from k starting states to step N.
 
     ``forcing`` is an optional state-valued function of t.  In
-    ``explicit`` mode it is gamma-combined at the explicit time points
-    exactly like B; in ``implicit`` mode it is evaluated at t_n and
-    added to the right-hand side of the solve.  ``t0`` shifts the clock
-    (step n runs at t = t0 + n*tau); the default keeps t_n = n*tau.
+    ``explicit`` mode it is added to B at each node and gamma-combined
+    with it; in ``implicit`` mode it is evaluated at t_n and added to
+    the right-hand side of the solve.  ``t0`` shifts the clock (node j
+    sits at t_j = t0 + j*tau); the default keeps t_j = j*tau.  The
+    explicit value at node j is computed once, at t_j, for the nodes
+    0..N-1 that a later step uses.
     """
     k = scheme.k
     if len(starting_values) != k:
@@ -146,29 +135,34 @@ def run(
             1.0 + float(np.max(np.abs(states[-1])))
         )
 
-    effective_B = B
-    if forcing is not None and forcing_mode == "explicit":
-        effective_B = _ForcedTerm(B, forcing)
+    implicit_forcing = forcing if forcing_mode == "implicit" else None
+    explicit_forcing = forcing if forcing_mode == "explicit" else None
 
-    diagnostics: list[dict] = []
+    def explicit_value(t, u):
+        if B is None:
+            return explicit_forcing(t)
+        if explicit_forcing is None:
+            return B.evaluate(t, u)
+        return explicit_forcing(t) + B.evaluate(t, u)
+
+    explicit = None
+    if B is not None or explicit_forcing is not None:
+        explicit = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
+
     blow_up = None
     for n in range(k, N + 1):
         t_n = t0 + n * tau
-        extra = forcing(t_n) if (forcing is not None and forcing_mode == "implicit") else None
-        solves_before = getattr(A, "factorization_count", 0)
-        u_n = imex_step(scheme, A, effective_B, states[-k:], t_n, tau, extra_rhs=extra)
-        diagnostics.append(
-            {
-                "step": n,
-                "t": t_n,
-                "refactorized": getattr(A, "factorization_count", 0) > solves_before,
-            }
-        )
+        extra = implicit_forcing(t_n) if implicit_forcing is not None else None
+        u_n = imex_step(scheme, A, explicit, states[-k:], t_n, tau, extra_rhs=extra)
         states.append(u_n)
         peak = float(np.max(np.abs(u_n)))
         if not np.isfinite(peak) or peak > divergence_threshold:
             blow_up = n
             break
+        if explicit is not None and n < N:
+            # evaluated right after the solve at t_n, so an operator
+            # applied by the forcing reuses the matrix assembled for it
+            explicit = explicit[1:] + [explicit_value(t_n, u_n)]
 
     times = t0 + tau * np.arange(len(states))
     return Trajectory(
@@ -177,7 +171,6 @@ def run(
         states=states,
         grid=getattr(A, "grid", None),
         blow_up=blow_up,
-        solve_diagnostics=diagnostics,
     )
 
 

@@ -459,38 +459,22 @@ def _centered_divergence(components, grid: Grid) -> np.ndarray:
 
 
 class NonlinearTerm(ABC):
-    """Explicit right-hand side B(t, v) on grid states.
-
-    ``tube_radius`` is informational metadata: the radius of the
-    neighborhood of the exact solution within which the term's local
-    Lipschitz bound is trusted.  Nothing enforces it.
-    """
+    """Explicit right-hand side B(t, v) on grid states."""
 
     grid: Grid
-    tube_radius: float | None = None
 
     @abstractmethod
     def evaluate(self, t: float, v) -> np.ndarray: ...
-
-
-class ZeroTerm(NonlinearTerm):
-    def __init__(self, grid: Grid):
-        self.grid = grid
-
-    def evaluate(self, t: float, v) -> np.ndarray:
-        _as_state(self.grid, v)
-        return np.zeros(self.grid.shape, dtype=complex)
 
 
 class DivergenceFormTerm(NonlinearTerm):
     """B(t, v) = f(v, x, t) + div g(v, x, t), divergence by centered
     differences of g sampled at the (boundary-extended) nodes."""
 
-    def __init__(self, grid: Grid, f=None, g=None, tube_radius: float | None = None):
+    def __init__(self, grid: Grid, f=None, g=None):
         self.grid = grid
         self.f = f
         self.g = g
-        self.tube_radius = tube_radius
 
     def evaluate(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
@@ -508,11 +492,10 @@ class DivergenceFormTerm(NonlinearTerm):
 class GradientFormTerm(NonlinearTerm):
     """B(t, v) = f(v, grad v, x, t) + div g(v, grad v, x, t)."""
 
-    def __init__(self, grid: Grid, f=None, g=None, tube_radius: float | None = None):
+    def __init__(self, grid: Grid, f=None, g=None):
         self.grid = grid
         self.f = f
         self.g = g
-        self.tube_radius = tube_radius
 
     def evaluate(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
@@ -539,10 +522,9 @@ class GradientFormTerm(NonlinearTerm):
 class PointwiseTerm(NonlinearTerm):
     """B(t, v) = f(v) applied entrywise."""
 
-    def __init__(self, grid: Grid, f, tube_radius: float | None = None):
+    def __init__(self, grid: Grid, f):
         self.grid = grid
         self.f = f
-        self.tube_radius = tube_radius
 
     def evaluate(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
@@ -552,12 +534,11 @@ class PointwiseTerm(NonlinearTerm):
 class LaplacianPointwiseTerm(NonlinearTerm):
     """B(t, v) = Laplacian of f(v), the Laplacian applied spectrally."""
 
-    def __init__(self, grid: Grid, f, tube_radius: float | None = None):
+    def __init__(self, grid: Grid, f):
         if grid.boundary != PERIODIC:
             raise ConfigError("spectral Laplacian requires a periodic grid")
         self.grid = grid
         self.f = f
-        self.tube_radius = tube_radius
         freqs = fourier_frequencies(grid)
         self._neg_k2 = -sum(xi**2 for xi in freqs)
 

@@ -145,21 +145,23 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     For each direction theta, the extreme eigenvector of the Hermitian
     part of e^{-i theta} A is a support point of the (convex) numerical
     range; its Rayleigh quotient under A is a boundary point.  Returns
-    the n_angles sampled boundary values.
+    the boundary values at the n_angles (even) equispaced directions.
     """
     M = _as_square_matrix(A)
-    if n_angles < 360:
-        raise DomainError(f"n_angles must be at least 360, got {n_angles}")
+    if n_angles < 360 or n_angles % 2:
+        raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
     herm = 0.5 * (M + M.conj().T)
     if np.linalg.eigvalsh(herm).min() <= 0.0:
         raise CoercivityError("Hermitian part is not positive definite")
-    theta = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    theta = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
     phase = np.exp(-1j * theta)
-    # stacked Hermitian parts of the rotated matrix, one per direction
+    # stacked Hermitian parts H(theta) of the rotated matrix; because
+    # H(theta + pi) = -H(theta), the bottom eigenvector of H(theta) is the
+    # support vector of direction theta + pi, so half the directions suffice
     stack = 0.5 * (phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T)
     _, vecs = np.linalg.eigh(stack)
-    top = vecs[:, :, -1]
-    return np.einsum("tj,jk,tk->t", top.conj(), M, top)
+    support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
+    return np.einsum("tj,jk,tk->t", support.conj(), M, support)
 
 
 def stability_constant(A, n_angles: int = 720) -> float:

@@ -379,27 +379,6 @@ class TestThreshold:
 
 
 class TestEnvironment:
-    def test_thread_limit_exported(self, capsys, monkeypatch):
-        monkeypatch.setenv("IMEXBDF_THREADS", "2")
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            monkeypatch.setenv(var, "sentinel")
-        code, _, _ = run_cli(capsys, "coeffs", "--k", "1")
-        assert code == 0
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["MKL_NUM_THREADS"] == "2"
-
-    def test_invalid_thread_limit_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("IMEXBDF_THREADS", "abc")
-        code, _, err = run_cli(capsys, "coeffs", "--k", "1")
-        assert code == 2 and "IMEXBDF_THREADS" in err
-
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "imexbdf.cli", "coeffs", "--k", "2"],

@@ -61,6 +61,29 @@ def test_solve_reaches_final_time():
     assert traj.blow_up is None
     assert traj.times[-1] == pytest.approx(2.0)
 
+def test_time_dependent_solve_builds_matrix_once_per_node():
+    # the explicit-mode forcing applies A(t_n) right after the solve at
+    # t_n has assembled it, so the single-slot matrix cache hits
+    grid = dirichlet_grid((0.0, 1.0), 32)
+    a_fn = lambda x, t: 1.0 + 0.3 * np.sin(x) * np.cos(t)
+    op = SparseDiffusionOperator(grid, a_fn, 0.2)
+    profile = np.sin(np.pi * grid.axis_nodes(0))
+    prob = harness.ManufacturedProblem(
+        grid,
+        op,
+        PointwiseTerm(grid, lambda u: -(u**3)),
+        lambda t: math.exp(-t) * profile,
+        lambda t: -math.exp(-t) * profile,
+    )
+    builds = []
+    build = op._build
+    op._build = lambda t: builds.append(t) or build(t)
+    N = 12
+    traj = prob.solve(bdf_scheme(3), 0.05, N)
+    assert traj.blow_up is None
+    # nodes 1..N; node 0 reuses the matrix the constructor built
+    assert len(builds) == N
+
 
 # ---------------------------------------------------- consistency
 

@@ -99,7 +99,6 @@ def test_times_uniform_and_lengths():
     assert len(traj.states) == 10
     assert len(traj.times) == 10
     np.testing.assert_allclose(np.diff(traj.times), tau, rtol=1e-15)
-    assert len(traj.solve_diagnostics) == 8
 
 def test_run_linearity_in_data_and_forcing():
     # B linear: the map (starting values, forcing) -> trajectory is linear
@@ -300,17 +299,51 @@ def test_autonomous_operator_factors_once():
     g = dirichlet_grid((0.0, 1.0), 16)
     A = SparseDiffusionOperator(g, 1.0, 0.0)
     x = g.axis_nodes(0)
-    traj = stepper.run(bdf_scheme(2), A, None, [np.sin(np.pi * x)] * 2, 0.05, 12)
-    flags = [d["refactorized"] for d in traj.solve_diagnostics]
-    assert flags[0] is True
-    assert not any(flags[1:])
+    stepper.run(bdf_scheme(2), A, None, [np.sin(np.pi * x)] * 2, 0.05, 12)
+    assert A.factorization_count == 1
 
 def test_time_dependent_operator_refactors_every_step():
     g = dirichlet_grid((0.0, 1.0), 16)
     A = SparseDiffusionOperator(g, lambda x, t: 1.0 + 0.1 * np.cos(t), 0.0)
     x = g.axis_nodes(0)
-    traj = stepper.run(bdf_scheme(2), A, None, [np.sin(np.pi * x)] * 2, 0.05, 12)
-    assert all(d["refactorized"] for d in traj.solve_diagnostics)
+    stepper.run(bdf_scheme(2), A, None, [np.sin(np.pi * x)] * 2, 0.05, 12)
+    assert A.factorization_count == 11  # one per step n = 2..12
+
+class RecordingTerm:
+    """Linear explicit term that records the times it is evaluated at."""
+
+    def __init__(self):
+        self.times = []
+
+    def evaluate(self, t, v):
+        self.times.append(t)
+        return 0.3 * np.asarray(v, dtype=complex)
+
+
+@pytest.mark.parametrize("with_forcing", [False, True])
+def test_explicit_side_evaluated_once_per_node(with_forcing):
+    # steps k..N use the explicit values of nodes 0..N-1, each computed
+    # once at its node time
+    B = RecordingTerm()
+    forcing_times = []
+
+    def forcing(t):
+        forcing_times.append(t)
+        return np.full(4, math.sin(t), dtype=complex)
+
+    k, tau, N = 3, 0.1, 10
+    traj = stepper.run(
+        bdf_scheme(k),
+        DiagOp(GRID4, 1.0),
+        B,
+        [np.ones(4)] * k,
+        tau,
+        N,
+        forcing=forcing if with_forcing else None,
+    )
+    assert len(B.times) == N
+    assert B.times == list(traj.times[:N])
+    assert forcing_times == (B.times if with_forcing else [])
 
 def test_run_validates_counts():
     A = DiagOp(GRID4, 1.0)

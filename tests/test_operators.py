@@ -367,13 +367,6 @@ def test_scaled_sum_rejects_empty():
     with pytest.raises(DomainError):
         ops.ScaledSumTerm([])
 
-def test_tube_radius_is_plain_metadata():
-    g = ops.periodic_grid((0.0, 2.0 * np.pi), 16)
-    term = ops.PointwiseTerm(g, np.expm1, tube_radius=0.5)
-    assert term.tube_radius == 0.5
-    big = np.full(16, 100.0)
-    term.evaluate(0.0, big)  # nothing enforces the radius
-
 
 # ------------------------------------------------------ hermitian parts
 

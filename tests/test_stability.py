@@ -169,6 +169,8 @@ def test_stability_constant_rejects_bad_inputs():
         stability_constant(np.ones((2, 3)))
     with pytest.raises(DomainError):
         stability_constant(np.eye(3), n_angles=100)
+    with pytest.raises(DomainError):
+        stability_constant(np.eye(3), n_angles=721)
 
 
 def test_coefficient_lambda_basics():
