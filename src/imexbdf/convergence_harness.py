@@ -62,8 +62,11 @@ class ManufacturedProblem:
         return "explicit" if self.nonlinear is not None else "implicit"
 
     def residual(self, t: float = 0.0, kind: NormKind = LINF) -> float:
-        """Norm of u' + A u - B - F at time t; zero up to round-off by
-        construction of the forcing."""
+        """Norm of u' + A u - B - F at time t.
+
+        F is computed from the same u' + A u - B, so this checks only
+        the round-off left by that cancellation: an error in A, B or u'
+        enters both sides and cancels."""
         u = np.asarray(self.exact(t), dtype=complex)
         res = (
             np.asarray(self.exact_dt(t), dtype=complex)

@@ -15,6 +15,7 @@ complex arrays shaped like the grid.
 
 from __future__ import annotations
 
+import functools
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -131,12 +132,22 @@ def _as_state(grid: Grid, v) -> np.ndarray:
     return arr
 
 
-def _coercivity_spot_check(apply_fn, grid: Grid, label: str) -> None:
-    # a handful of seeded random states; catches sign errors, not
-    # genuine indefiniteness in adversarial corners
+@functools.lru_cache(maxsize=8)
+def _coercivity_probes(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     rng = np.random.default_rng(12345)
+    probes = []
     for _ in range(4):
-        v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v.setflags(write=False)
+        probes.append(v)
+    return tuple(probes)
+
+
+def _coercivity_spot_check(apply_fn, grid: Grid, label: str) -> None:
+    # a handful of seeded random states, drawn once per grid shape;
+    # catches sign errors, not genuine indefiniteness in adversarial
+    # corners
+    for v in _coercivity_probes(grid.shape):
         pairing = np.vdot(v, apply_fn(v))
         if pairing.real <= 0.0:
             raise CoercivityError(f"{label}: random state with nonpositive Re<Av,v>")
@@ -174,10 +185,14 @@ class SparseDiffusionOperator(LinearOperator):
     """-div((a + ib) grad u) by conservative second-order differences.
 
     Coefficients are sampled at cell midpoints, which keeps the b == 0
-    Dirichlet matrix real symmetric positive definite.  Shifted solves
-    go through a cached direct sparse factorization; the cache is
-    rebuilt whenever (t, sigma) changes and is reused across steps when
-    the operator is autonomous and the step size is fixed.
+    Dirichlet matrix real symmetric positive definite.  The CSC pattern
+    and a constant real weight matrix W_i per axis are built once, so
+    the matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with
+    c_i(t) the interface coefficients along axis i.  Shifted solves go
+    through a cached direct sparse factorization with a symmetric
+    fill-reducing ordering (the stencils have a symmetric pattern); the
+    cache is rebuilt whenever (t, sigma) changes and is reused across
+    steps when the operator is autonomous and the step size is fixed.
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
@@ -186,6 +201,8 @@ class SparseDiffusionOperator(LinearOperator):
         self._a = (lambda *args: np.broadcast_to(float(a), np.shape(args[0])).copy()) if isinstance(a, Number) else a
         self._b = (lambda *args: np.broadcast_to(float(b), np.shape(args[0])).copy()) if isinstance(b, Number) else b
         self.autonomous = scalars if autonomous is None else bool(autonomous)
+        self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
+        self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
         self._lock = threading.Lock()
         self._matrix_key = None
         self._matrix = None
@@ -207,22 +224,8 @@ class SparseDiffusionOperator(LinearOperator):
 
     def _midpoint_coeffs(self, t: float, axis: int) -> np.ndarray:
         """Complex a + ib at the cell interfaces along one axis."""
-        g = self.grid
-        (lo, _), n, h = g.extents[axis], g.npts[axis], g.h[axis]
-        if g.boundary == DIRICHLET:
-            mids = lo + h * (np.arange(n + 1) + 0.5)
-        else:
-            # interface j sits between nodes j-1 and j, wrapping around
-            mids = lo + h * (np.arange(n) - 0.5)
-        if g.ndim == 1:
-            args = (mids, t)
-        else:
-            if axis == 0:
-                X, Y = np.meshgrid(mids, g.axis_nodes(1), indexing="ij")
-            else:
-                X, Y = np.meshgrid(g.axis_nodes(0), mids, indexing="ij")
-            args = (X, Y, t)
-        target = mids.shape if g.ndim == 1 else args[0].shape
+        args = (*self._iface_coords[axis], t)
+        target = args[0].shape
         a_vals = np.broadcast_to(np.asarray(self._a(*args), dtype=float), target)
         b_vals = np.broadcast_to(np.asarray(self._b(*args), dtype=float), target)
         if a_vals.min() <= 0.0:
@@ -234,7 +237,7 @@ class SparseDiffusionOperator(LinearOperator):
         with self._lock:
             if self._matrix_key == key:
                 return self._matrix
-        matrix = self._build(t).tocsc()
+        matrix = self._build(t)
         _coercivity_spot_check(
             lambda v: (matrix @ v.ravel()).reshape(self.grid.shape),
             self.grid,
@@ -245,78 +248,16 @@ class SparseDiffusionOperator(LinearOperator):
             self._matrix = matrix
         return matrix
 
-    def _build(self, t: float):
-        g = self.grid
-        if g.ndim == 1:
-            return self._build_axis(t, 0)
-        return (self._build_axis(t, 0) + self._build_axis(t, 1)).tocoo()
+    def _build(self, t: float) -> sp.csc_matrix:
+        parts = [
+            weights @ self._midpoint_coeffs(t, axis).ravel() / h**2
+            for axis, (weights, h) in enumerate(zip(self._weights, self.grid.h))
+        ]
+        return self._csc(sum(parts[1:], parts[0]))
 
-    def _build_axis(self, t: float, axis: int) -> sp.coo_matrix:
-        g = self.grid
-        n_axis = g.npts[axis]
-        h = g.h[axis]
-        c = self._midpoint_coeffs(t, axis)  # (n+1,) or (n,) or 2d versions
-        size = g.size
-        if g.ndim == 1:
-            flat = np.arange(size)
-            if g.boundary == DIRICHLET:
-                diag = (c[:-1] + c[1:]) / h**2
-                off = -c[1:-1] / h**2
-                rows = np.concatenate([flat, flat[:-1], flat[1:]])
-                cols = np.concatenate([flat, flat[1:], flat[:-1]])
-                data = np.concatenate([diag, off, off])
-            else:
-                diag = (c + np.roll(c, -1)) / h**2
-                off = -np.roll(c, -1) / h**2  # interface between j and j+1
-                nxt = np.roll(flat, -1)
-                rows = np.concatenate([flat, flat, nxt])
-                cols = np.concatenate([flat, nxt, flat])
-                data = np.concatenate([diag, off, off])
-            return sp.coo_matrix((data, (rows, cols)), shape=(size, size))
-        # 2d: c has shape (n0+1, n1) for axis 0 etc. in the Dirichlet case
-        my = g.npts[1]
-
-        def flat_idx(i, j):
-            return i * my + j
-
-        ii, jj = np.meshgrid(np.arange(g.npts[0]), np.arange(my), indexing="ij")
-        if axis == 0:
-            lower, upper = c[:-1, :], c[1:, :]  # interfaces below / above node
-        else:
-            lower, upper = c[:, :-1], c[:, 1:]
-        if g.boundary == PERIODIC:
-            if axis == 0:
-                lower, upper = c, np.roll(c, -1, axis=0)
-            else:
-                lower, upper = c, np.roll(c, -1, axis=1)
-        diag = (lower + upper) / h**2
-        center = flat_idx(ii, jj).ravel()
-        rows = [center]
-        cols = [center]
-        data = [diag.ravel()]
-        if g.boundary == DIRICHLET:
-            if axis == 0:
-                src = flat_idx(ii[:-1, :], jj[:-1, :]).ravel()
-                dst = flat_idx(ii[1:, :], jj[1:, :]).ravel()
-                coup = (-upper[:-1, :] / h**2).ravel()
-            else:
-                src = flat_idx(ii[:, :-1], jj[:, :-1]).ravel()
-                dst = flat_idx(ii[:, 1:], jj[:, 1:]).ravel()
-                coup = (-upper[:, :-1] / h**2).ravel()
-        else:
-            src = center
-            if axis == 0:
-                dst = flat_idx((ii + 1) % g.npts[0], jj).ravel()
-            else:
-                dst = flat_idx(ii, (jj + 1) % my).ravel()
-            coup = (-upper / h**2).ravel()
-        rows += [src, dst]
-        cols += [dst, src]
-        data += [coup, coup]
-        return sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
+    def _csc(self, data: np.ndarray) -> sp.csc_matrix:
+        size = self.grid.size
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(size, size))
 
     def apply(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
@@ -329,14 +270,82 @@ class SparseDiffusionOperator(LinearOperator):
         with self._lock:
             factor = self._factor if self._factor_key == key else None
         if factor is None:
-            matrix = self.assemble(t)
-            shifted = (sigma * sp.identity(self.grid.size, format="csc") + matrix).tocsc()
-            factor = splu(shifted)
+            data = self.assemble(t).data.copy()
+            data[self._diag_slots] += sigma
+            factor = splu(self._csc(data), permc_spec="MMD_AT_PLUS_A")
             with self._lock:
                 self._factor_key = key
                 self._factor = factor
                 self._factor_count += 1
         return factor.solve(rhs.ravel()).reshape(self.grid.shape)
+
+
+def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:
+    """Coordinates of the cell interfaces along one axis, in the layout
+    the coefficient functions take: the points in 1d, an (X, Y) mesh
+    pair in 2d.  Dirichlet grids have n + 1 interfaces per line,
+    periodic grids n, interface j sitting between nodes j-1 and j."""
+    (lo, _), n, h = grid.extents[axis], grid.npts[axis], grid.h[axis]
+    if grid.boundary == DIRICHLET:
+        mids = lo + h * (np.arange(n + 1) + 0.5)
+    else:
+        mids = lo + h * (np.arange(n) - 0.5)
+    if grid.ndim == 1:
+        coords = (mids,)
+    elif axis == 0:
+        coords = tuple(np.meshgrid(mids, grid.axis_nodes(1), indexing="ij"))
+    else:
+        coords = tuple(np.meshgrid(grid.axis_nodes(0), mids, indexing="ij"))
+    for arr in coords:
+        arr.setflags(write=False)
+    return coords
+
+
+def _stencil_pattern(grid: Grid):
+    """CSC pattern of -div(c grad .) on ``grid`` and its weights.
+
+    Returns (indptr, indices, diag_slots, weights): the matrix for
+    interface coefficients c_i along axis i (``_midpoint_coeffs``,
+    raveled) has data sum_i weights[i] @ c_i / h_i^2 in this pattern,
+    and diag_slots are the data positions of its diagonal.  The weights
+    are +-1, so each entry is a sum of interface coefficients divided
+    by h_i^2, the stencil as written.
+    """
+    node = np.arange(grid.size).reshape(grid.shape)
+    rows, cols, ifaces, signs, n_ifaces = [], [], [], [], []
+    for axis, n in enumerate(grid.npts):
+        iface_shape = list(grid.shape)
+        if grid.boundary == DIRICHLET:
+            iface_shape[axis] += 1
+        iface = np.arange(np.prod(iface_shape)).reshape(iface_shape)
+        below = np.take(iface, np.arange(n), axis).ravel()
+        above = np.take(iface, np.arange(1, n + 1) % iface_shape[axis], axis)
+        # each node couples to its successor through the interface above it
+        src, dst, link = node, np.roll(node, -1, axis), above
+        if grid.boundary == DIRICHLET:
+            inner = tuple(slice(0, n - 1) if i == axis else slice(None) for i in range(grid.ndim))
+            src, dst, link = src[inner], dst[inner], link[inner]
+        center, src, dst, link = node.ravel(), src.ravel(), dst.ravel(), link.ravel()
+        rows.append(np.concatenate([center, center, src, dst]))
+        cols.append(np.concatenate([center, center, dst, src]))
+        ifaces.append(np.concatenate([below, above.ravel(), link, link]))
+        signs.append(np.repeat([1.0, -1.0], [2 * center.size, 2 * link.size]))
+        n_ifaces.append(iface.size)
+    # terms at the same position (the diagonal) share one slot
+    size = grid.size
+    keys, slots = np.unique(np.concatenate(cols) * size + np.concatenate(rows), return_inverse=True)
+    key_cols, indices = np.divmod(keys, size)
+    indptr = np.searchsorted(key_cols, np.arange(size + 1))
+    diag_slots = np.flatnonzero(indices == key_cols)
+    axis_slots = np.split(slots, np.cumsum([f.size for f in ifaces])[:-1])
+    weights = [
+        sp.csr_matrix((w, (slot, f)), shape=(keys.size, m))
+        for w, slot, f, m in zip(signs, axis_slots, ifaces, n_ifaces)
+    ]
+    indptr, indices = indptr.astype(np.intc), indices.astype(np.intc)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices, diag_slots, weights
 
 
 class SpectralDiagonalOperator(LinearOperator):

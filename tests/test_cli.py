@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import imexbdf
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.cli import main
 from imexbdf.config import parse_config
@@ -380,10 +382,16 @@ class TestThreshold:
 
 class TestEnvironment:
     def test_module_entry_point(self):
+        # the child imports the same imexbdf as this process, installed
+        # or not
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(imexbdf.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "imexbdf.cli", "coeffs", "--k", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 2

@@ -51,6 +51,27 @@ def test_forcing_makes_residual_roundoff():
     for t in (0.0, 0.37, 1.0):
         assert prob.residual(t) < 1e-11
 
+@pytest.mark.parametrize("cubic", [True, False], ids=["cubic", "linear"])
+def test_forcing_matches_closed_form_sine_mode(cubic):
+    # the sine mode is an exact eigenvector of the constant-coefficient
+    # Dirichlet operator, with eigenvalue (a + ib)(4/h^2) sin^2(pi h/2),
+    # so F = u' + A u - B has a closed form independent of the operator
+    a, b = 1.3, 0.4
+    grid = dirichlet_grid((0.0, 1.0), 31)
+    h = grid.h[0]
+    op = SparseDiffusionOperator(grid, a, b)
+    term = PointwiseTerm(grid, lambda u: -(u**3)) if cubic else None
+    profile = np.sin(np.pi * grid.axis_nodes(0))
+    exact = lambda t: math.exp(-t) * profile
+    prob = harness.ManufacturedProblem(
+        grid, op, term, exact, lambda t: -math.exp(-t) * profile
+    )
+    lam = (a + 1j * b) * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
+    for t in (0.0, 0.37):
+        u = exact(t)
+        expected = (lam - 1.0) * u + (u**3 if cubic else 0.0)
+        np.testing.assert_allclose(prob.forcing(t), expected, rtol=0.0, atol=1e-12 * abs(lam))
+
 def test_forcing_mode_follows_nonlinearity():
     assert diffusion_problem(cubic=True).forcing_mode == "explicit"
     assert diffusion_problem(cubic=False).forcing_mode == "implicit"

@@ -218,6 +218,112 @@ def test_periodic_2d_row_sums_vanish():
     assert np.max(np.abs(sums)) < 1e-10
 
 
+# ------------------------------------- sparse diffusion, loop reference
+
+
+def _loop_reference_matrix(extents, npts, periodic, coeff, t):
+    """Dense -div(c grad .) written out node by node: each node couples
+    to its neighbour across every cell face with weight -c(face)/h^2,
+    c sampled at the face midpoint, and the diagonal sums the faces.
+    Dirichlet faces at the boundary touch a zero value, periodic faces
+    wrap around."""
+    h = [(hi - lo) / (n if periodic else n + 1) for (lo, hi), n in zip(extents, npts)]
+    size = math.prod(npts)
+    ref = np.zeros((size, size), dtype=complex)
+    for row in range(size):
+        idx, rest = [], row
+        for n in reversed(npts):
+            idx.insert(0, rest % n)
+            rest //= n
+        x = [lo + (i if periodic else i + 1) * hh for (lo, _), i, hh in zip(extents, idx, h)]
+        for axis in range(len(npts)):
+            for step in (-1, 1):
+                face = list(x)
+                face[axis] += 0.5 * step * h[axis]
+                weight = coeff(*face, t) / h[axis] ** 2
+                ref[row, row] += weight
+                j = idx[axis] + step
+                if periodic:
+                    j %= npts[axis]
+                elif not 0 <= j < npts[axis]:
+                    continue
+                nbr = list(idx)
+                nbr[axis] = j
+                col = 0
+                for i, n in zip(nbr, npts):
+                    col = col * n + i
+                ref[row, col] -= weight
+    return ref
+
+
+# Coefficients periodic on the grids below, so a face sampled across
+# the periodic seam has the same value from either side.
+def _coeff_1d(x, t):
+    a = 1.5 + 0.5 * np.sin(2.0 * np.pi * x) * np.cos(t)
+    b = 0.4 * np.cos(2.0 * np.pi * x + t)
+    return a, b
+
+
+def _coeff_2d(x, y, t):
+    a = 1.5 + 0.4 * np.sin(2.0 * np.pi * x) * np.cos(np.pi * y + t)
+    b = 0.3 * np.cos(2.0 * np.pi * x - np.pi * y + 2.0 * t)
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "extents, npts, boundary",
+    [
+        (((0.0, 1.0),), (11,), ops.DIRICHLET),
+        (((0.0, 1.0),), (10,), ops.PERIODIC),
+        (((0.0, 1.0), (0.0, 2.0)), (6, 7), ops.DIRICHLET),
+        (((0.0, 1.0), (0.0, 2.0)), (6, 5), ops.PERIODIC),
+    ],
+    ids=["1d-dirichlet", "1d-periodic", "2d-dirichlet", "2d-periodic"],
+)
+def test_assembly_matches_loop_reference(extents, npts, boundary):
+    coeff = _coeff_1d if len(npts) == 1 else _coeff_2d
+    g = ops.Grid(extents, npts, boundary)
+    op = ops.SparseDiffusionOperator(
+        g, lambda *args: coeff(*args)[0], lambda *args: coeff(*args)[1]
+    )
+    assert not op.autonomous
+    rng = np.random.default_rng(3)
+    for t in (0.3, 1.7):
+        ref = _loop_reference_matrix(
+            extents, npts, boundary == ops.PERIODIC, lambda *a: complex(*coeff(*a)), t
+        )
+        A = op.assemble(t)
+        assert sp.isspmatrix_csc(A)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(A.toarray() - ref)) <= 1e-14 * scale
+        sigma = 4.0 / t
+        r = rng.standard_normal(npts) + 1j * rng.standard_normal(npts)
+        u = op.shifted_solve(t, sigma, r).ravel()
+        residual = sigma * u + ref @ u - r.ravel()
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
+
+def test_assembly_sign_error_raises_coercivity_error():
+    # a > 0 at every face, so the midpoint check passes; only the spot
+    # check on the assembled matrix sees the negated stencil
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (6, 6))
+    op = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
+    op.assemble(0.5)
+    op._weights = [-w for w in op._weights]
+    with pytest.raises(CoercivityError):
+        op.assemble(0.7)
+
+def test_coercivity_probes_drawn_once_per_shape():
+    rng = np.random.default_rng(12345)
+    probes = ops._coercivity_probes((5, 3))
+    assert len(probes) == 4
+    for v in probes:
+        np.testing.assert_array_equal(
+            v, rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        )
+        assert not v.flags.writeable
+    assert ops._coercivity_probes((5, 3)) is probes
+
+
 # ------------------------------------------------------------- spectral
 
 
