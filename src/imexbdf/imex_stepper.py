@@ -32,7 +32,7 @@ DIVERGENCE_FACTOR = 1e8  # relative overflow guard for blow-up flagging
 class Trajectory:
     """Computed time grid and states, plus blow-up bookkeeping.
 
-    ``states[n]`` approximates the solution at ``times[n] = n*tau``.
+    ``states[n]`` approximates the solution at ``times[n] = t0 + n*tau``.
     When ``blow_up`` is set, the states stop at that index and carry the
     first offending value.
     """

@@ -189,10 +189,11 @@ class SparseDiffusionOperator(LinearOperator):
     and a constant real weight matrix W_i per axis are built once, so
     the matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with
     c_i(t) the interface coefficients along axis i.  Shifted solves go
-    through a cached direct sparse factorization with a symmetric
-    fill-reducing ordering (the stencils have a symmetric pattern); the
-    cache is rebuilt whenever (t, sigma) changes and is reused across
-    steps when the operator is autonomous and the step size is fixed.
+    through a cached direct sparse factorization, in natural order on
+    1-d grids and with a symmetric fill-reducing ordering in 2-d (the
+    stencils have a symmetric pattern); the cache is rebuilt whenever
+    (t, sigma) changes and is reused across steps when the operator is
+    autonomous and the step size is fixed.
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
@@ -272,7 +273,10 @@ class SparseDiffusionOperator(LinearOperator):
         if factor is None:
             data = self.assemble(t).data.copy()
             data[self._diag_slots] += sigma
-            factor = splu(self._csc(data), permc_spec="MMD_AT_PLUS_A")
+            # 1-d stencils (tridiagonal, plus two corners when periodic)
+            # gain nothing from a fill-reducing ordering
+            ordering = "NATURAL" if self.grid.ndim == 1 else "MMD_AT_PLUS_A"
+            factor = splu(self._csc(data), permc_spec=ordering)
             with self._lock:
                 self._factor_key = key
                 self._factor = factor

@@ -13,8 +13,10 @@ Three views of the same stability question live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -27,79 +29,60 @@ from .errors import CoercivityError, ComputationError, DomainError
 ROOT_TOL = 1e-9
 ROOT_SEPARATION = 1e-6
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+@functools.lru_cache(maxsize=None)
+def _sector_angle_deg(delta: tuple[Fraction, ...]) -> float:
+    """Sector angle in degrees of the scheme with exact coefficients delta.
+
+    On |z| = 1 the phase of delta(z) is stationary where
+    Re(z delta'(z) / delta(z)) = 0, i.e. at the unit-circle roots of
+
+        Q(z) = z^{k+1} delta'(z) delta(1/z) + z^{k-1} delta'(1/z) delta(z),
+
+    a polynomial of degree 2k with rational coefficients.  Its factors
+    (z - 1), from the excluded point z = 1 where delta vanishes, are
+    divided out exactly and the remaining roots are found in double
+    precision.  Since each kept
+    root is a stationary point, a root error eps moves the phase by only
+    O(eps^2).  The limit pi/2 at the excluded theta = 0 is always a
+    candidate; for k = 1, 2 Q deflates to a constant and it is the sup.
+    """
+    d = np.array(delta, dtype=object)
+    dd = npoly.polyder(d)
+    q = npoly.polyadd(
+        npoly.polymul(npoly.polymulx(dd), d[::-1]),
+        npoly.polymul(dd[::-1], d),
+    )
+    if not any(q):
+        raise ComputationError("degenerate scheme: the phase of delta is stationary everywhere")
+    while sum(q) == 0:
+        q = npoly.polydiv(q, [Fraction(-1), Fraction(1)])[0]
+    roots = npoly.polyroots(q.astype(float))
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) <= 1e-8]
+    phases = np.abs(np.angle(npoly.polyval(on_circle / np.abs(on_circle), d.astype(float))))
+    return math.degrees(math.pi - phases.max(initial=0.5 * math.pi))
 
 
-def _refine_max(scheme: BdfScheme, lo: float, hi: float) -> float:
-    """Golden-section maximization of |arg delta(e^{i theta})| on [lo, hi]."""
-
-    def f(theta: float) -> float:
-        return abs(np.angle(npoly.polyval(np.exp(1j * theta), scheme.delta_f)))
-
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-13:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-    mid = 0.5 * (a + b)
-    return max(f(mid), fc, fd)
-
-
-def a_alpha_angle(scheme: BdfScheme, n_samples: int = 100_000) -> float:
+def a_alpha_angle(scheme: BdfScheme) -> float:
     """Sector angle alpha of the scheme, in degrees.
 
     alpha = pi - sup_theta |arg delta(e^{i theta})| over theta in
     (0, 2 pi), theta = 0 excluded because delta(1) = 0.  The sup is
-    located by dense sampling and sharpened by golden-section
-    refinement; the limit value pi/2 at the excluded endpoint (where
-    the locus leaves the origin along the imaginary axis) is always a
-    candidate, which is what returns exactly 90 degrees for k = 1, 2.
-
-    A scheme whose sampled maximum stays within 1e-6 radians of pi/2
-    is classified as A-stable and reports exactly 90 degrees: near the
-    origin of the locus the real part cancels to round-off, so raw
-    samples carry arg noise of that size, while a genuine sector
-    defect of any supported scheme exceeds pi/2 by more than 0.07
-    radians.
-
-    Parameters
-    ----------
-    scheme : BdfScheme
-    n_samples : int
-        Number of unit-circle samples, at least 10**4.
+    pi/2, the limit at the excluded endpoint, or a value at a stationary
+    point of the phase; those are read off the exact coefficients once
+    per scheme and cached.  k = 1, 2 give exactly 90 degrees.
     """
-    if n_samples < 10_000:
-        raise DomainError(f"n_samples must be at least 10^4, got {n_samples}")
-    theta = 2.0 * math.pi * np.arange(1, n_samples + 1) / (n_samples + 1)
-    values = npoly.polyval(np.exp(1j * theta), scheme.delta_f)
-    if not np.any(np.abs(values) > 0.0):
-        raise ComputationError("degenerate scheme: delta vanishes on all samples")
-    f = np.abs(np.angle(values))
-    best = int(np.argmax(f))
-    if f[best] <= 0.5 * math.pi + 1e-6:
-        return 90.0
-    lo = theta[best - 1] if best > 0 else theta[0] * 0.5
-    hi = theta[best + 1] if best + 1 < n_samples else 0.5 * (theta[-1] + 2.0 * math.pi)
-    sup = max(_refine_max(scheme, lo, hi), 0.5 * math.pi)
-    return math.degrees(math.pi - sup)
+    return _sector_angle_deg(scheme.delta)
 
 
-def lambda_threshold(scheme: BdfScheme, n_samples: int = 100_000) -> float:
+def lambda_threshold(scheme: BdfScheme) -> float:
     """Sharp threshold 1/cos(alpha) for the scheme.
 
     Returns +inf for k = 1, 2, where the angle is 90 degrees and the
     condition is void.
     """
-    alpha = a_alpha_angle(scheme, n_samples)
-    if scheme.k <= 2:
+    alpha = a_alpha_angle(scheme)
+    if alpha == 90.0:
         return math.inf
     return 1.0 / math.cos(math.radians(alpha))
 
@@ -115,18 +98,14 @@ class StabilityReport:
     locus_values: np.ndarray = field(repr=False, compare=False)
 
 
-def stability_report(
-    scheme: BdfScheme, n_samples: int = 100_000, locus_count: int = 256
-) -> StabilityReport:
-    """Bundle angle, threshold and a downsampled locus for reporting."""
-    alpha = a_alpha_angle(scheme, n_samples)
-    lam = math.inf if scheme.k <= 2 else 1.0 / math.cos(math.radians(alpha))
+def stability_report(scheme: BdfScheme, locus_count: int = 256) -> StabilityReport:
+    """Bundle angle, threshold and a sampled locus for reporting."""
     theta = 2.0 * math.pi * np.arange(1, locus_count + 1) / (locus_count + 1)
     values = npoly.polyval(np.exp(1j * theta), scheme.delta_f)
     return StabilityReport(
         k=scheme.k,
-        alpha_deg=alpha,
-        lambda_threshold=lam,
+        alpha_deg=a_alpha_angle(scheme),
+        lambda_threshold=lambda_threshold(scheme),
         locus_theta=theta,
         locus_values=values,
     )

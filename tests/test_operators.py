@@ -323,6 +323,21 @@ def test_coercivity_probes_drawn_once_per_shape():
         assert not v.flags.writeable
     assert ops._coercivity_probes((5, 3)) is probes
 
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_1d_factor_keeps_natural_order(make_grid):
+    g = make_grid((0.0, 1.0), 48)
+    op = ops.SparseDiffusionOperator(g, 1.0, 1.3)
+    op.shifted_solve(0.0, 40.0, np.ones(48))
+    np.testing.assert_array_equal(op._factor.perm_c, np.arange(48))
+
+def test_2d_factor_uses_fill_reducing_order():
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+    op = ops.SparseDiffusionOperator(g, 1.0, 0.5)
+    op.shifted_solve(0.0, 40.0, np.ones((8, 8)))
+    assert not np.array_equal(op._factor.perm_c, np.arange(64))
+
 
 # ------------------------------------------------------------- spectral
 

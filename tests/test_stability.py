@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from imexbdf import stability
 from imexbdf.bdf_coeffs import bdf_scheme
+from imexbdf.convergence_harness import default_threshold_ratios
 from imexbdf.errors import CoercivityError, ComputationError, DomainError
 from imexbdf.stability import (
     angle_of_analyticity_check,
@@ -66,23 +69,30 @@ def test_angle_matches_oracle(k):
     assert angle == pytest.approx(ORACLE_ALPHA_DEG[k], abs=1e-9)
 
 
-def test_angle_insensitive_to_sample_count():
-    for n in (10_000, 50_000, 200_000):
-        assert a_alpha_angle(bdf_scheme(5), n) == pytest.approx(
-            ORACLE_ALPHA_DEG[5], abs=1e-9
-        )
+def test_angle_computed_once_per_scheme(monkeypatch):
+    calls = []
+    polyroots = npoly.polyroots
 
+    def counting_polyroots(c):
+        calls.append(len(c))
+        return polyroots(c)
 
-def test_angle_rejects_small_sample_counts():
-    with pytest.raises(DomainError):
-        a_alpha_angle(bdf_scheme(3), 9_999)
+    monkeypatch.setattr(npoly, "polyroots", counting_polyroots)
+    stability._sector_angle_deg.cache_clear()
+    scheme = bdf_scheme(4)
+    a_alpha_angle(scheme)
+    assert len(calls) == 1
+    lambda_threshold(scheme)
+    stability_report(scheme)
+    default_threshold_ratios(bdf_scheme(4))
+    assert len(calls) == 1
 
 
 def test_degenerate_scheme_rejected():
     scheme = bdf_scheme(2)
     zeroed = type(scheme)(
         k=2,
-        delta=scheme.delta,
+        delta=tuple(0 * d for d in scheme.delta),
         gamma=scheme.gamma,
         delta_f=np.zeros_like(scheme.delta_f),
         gamma_f=scheme.gamma_f,
