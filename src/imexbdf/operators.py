@@ -23,7 +23,7 @@ from numbers import Number
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .errors import CoercivityError, ConfigError, DomainError, UnsupportedOperationError
 
@@ -191,9 +191,14 @@ class SparseDiffusionOperator(LinearOperator):
     c_i(t) the interface coefficients along axis i.  Shifted solves go
     through a cached direct sparse factorization, in natural order on
     1-d grids and with a symmetric fill-reducing ordering in 2-d (the
-    stencils have a symmetric pattern); the cache is rebuilt whenever
-    (t, sigma) changes and is reused across steps when the operator is
-    autonomous and the step size is fixed.
+    stencils have a symmetric pattern).  The factor is reused across
+    steps when the operator is autonomous and the step size is fixed,
+    and rebuilt when sigma changes.  A new time alone rebuilds it on
+    1-d grids; in 2-d, A(t) - A(t_old) = O(t - t_old) makes the factor
+    at t_old a near-exact preconditioner, so the solve refines on it
+    (``_refine``) to the backward error of a fresh factor and
+    refactorizes at (t, sigma) only when that takes more than
+    ``_REFINE_MAX_STEPS`` corrections.
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
@@ -266,22 +271,53 @@ class SparseDiffusionOperator(LinearOperator):
         return (matrix @ state.ravel()).reshape(self.grid.shape)
 
     def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
-        rhs = _as_state(self.grid, r)
+        rhs = _as_state(self.grid, r).ravel()
         key = (self._time_key(t), float(sigma))
         with self._lock:
-            factor = self._factor if self._factor_key == key else None
-        if factor is None:
+            factor, factor_key = self._factor, self._factor_key
+        if factor_key != key:
             data = self.assemble(t).data.copy()
             data[self._diag_slots] += sigma
-            # 1-d stencils (tridiagonal, plus two corners when periodic)
-            # gain nothing from a fill-reducing ordering
-            ordering = "NATURAL" if self.grid.ndim == 1 else "MMD_AT_PLUS_A"
-            factor = splu(self._csc(data), permc_spec=ordering)
+            matrix = self._csc(data)
+            if self.grid.ndim == 1:
+                # 1-d stencils (tridiagonal, plus two corners when
+                # periodic) gain nothing from a fill-reducing ordering,
+                # and a fresh factor costs about as much as refinement
+                ordering = "NATURAL"
+            else:
+                ordering = "MMD_AT_PLUS_A"
+                if factor_key is not None and factor_key[1] == key[1]:
+                    u = _refine(factor, matrix, rhs)
+                    if u is not None:
+                        return u.reshape(self.grid.shape)
+            factor = splu(matrix, permc_spec=ordering)
             with self._lock:
                 self._factor_key = key
                 self._factor = factor
                 self._factor_count += 1
-        return factor.solve(rhs.ravel()).reshape(self.grid.shape)
+        return factor.solve(rhs).reshape(self.grid.shape)
+
+
+# Corrections allowed on a factor of another time before refactorizing.
+_REFINE_MAX_STEPS = 8
+
+
+def _refine(factor, matrix, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve matrix @ u = rhs by refinement u <- u + factor^-1 (rhs -
+    matrix u) on ``factor``, the LU of a nearby matrix, until the max-norm
+    backward error is that of a fresh factor: ||rhs - matrix u|| <=
+    eps (||matrix|| ||u|| + ||rhs||).  None if that takes more than
+    _REFINE_MAX_STEPS corrections."""
+    eps = np.finfo(float).eps
+    matrix_norm, rhs_norm = sparse_norm(matrix, np.inf), np.abs(rhs).max()
+    u = factor.solve(rhs)
+    for step in range(_REFINE_MAX_STEPS + 1):
+        residual = rhs - matrix @ u
+        if np.abs(residual).max() <= eps * (matrix_norm * np.abs(u).max() + rhs_norm):
+            return u
+        if step < _REFINE_MAX_STEPS:
+            u += factor.solve(residual)
+    return None
 
 
 def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:

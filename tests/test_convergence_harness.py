@@ -13,6 +13,7 @@ from imexbdf.norms import LINF
 from imexbdf.operators import (
     PointwiseTerm,
     SparseDiffusionOperator,
+    assemble_example1,
     assemble_example3,
     dirichlet_grid,
     periodic_grid,
@@ -216,6 +217,26 @@ def test_convergence_study_diffusion_orders():
         assert fit.slope >= k - 0.1
         assert fit.slope <= k + 0.4
         assert report.passes["linf"]
+
+def test_convergence_study_2d_time_dependent_orders():
+    # example 1 with time-dependent coefficients: each solve refines on
+    # an older factor or refactorizes, and neither may cost order
+    grid = dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (24, 24))
+    a_fn = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(t)
+    op, term = assemble_example1(grid, a_fn, lambda x, y, t: 0.3 * a_fn(x, y, t))
+    X, Y = grid.meshes()
+    profile = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    prob = harness.ManufacturedProblem(
+        grid,
+        op,
+        term,
+        lambda t: math.exp(-t) * profile,
+        lambda t: -math.exp(-t) * profile,
+    )
+    taus = [0.1 * 2.0**-j for j in range(5)]
+    for k in (1, 2, 3, 4):
+        report = harness.convergence_study(prob, bdf_scheme(k), taus, 1.0)
+        assert report.fits["linf"].slope >= k - 0.1
 
 def test_convergence_study_row_quantities():
     prob = spectral_decay_problem()

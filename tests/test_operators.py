@@ -163,6 +163,51 @@ def test_time_dependent_operator_refactors_per_time():
     op.shifted_solve(0.1, 5.0, r)  # same (t, sigma) reuses
     assert op.factorization_count == base + 1
 
+def _fresh_shifted_solve(op, t, sigma, r):
+    matrix = (sigma * sp.identity(op.grid.size) + op.assemble(t)).tocsc()
+    return sp.linalg.splu(matrix).solve(r.ravel()).reshape(op.grid.shape)
+
+def test_2d_time_dependent_solves_refine_on_one_factor():
+    # A(t + 0.05) - A(t) is small, so the factor at t serves the later
+    # times through refinement to the accuracy of a fresh factor
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (16, 16))
+    coeff = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(t)
+    op = ops.SparseDiffusionOperator(g, coeff, lambda x, y, t: 0.3 * coeff(x, y, t))
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    sigma, t0 = 30.0, 0.3
+    for t in [t0 + 0.01 * j for j in range(6)]:
+        u = op.shifted_solve(t, sigma, r)
+        ref = _fresh_shifted_solve(op, t, sigma, r)
+        assert np.max(np.abs(u - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert op.factorization_count == 1
+
+def test_2d_refinement_falls_back_to_refactorizing():
+    # a(0) = 1 and a(1) = 1 + 0.9 sin(40) = 1.67: the factor at t = 0 is
+    # too far off for the refinement to converge in its step budget
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+    op = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.9 * np.sin(40.0 * t) + 0.0 * x, 0.0)
+    r = np.random.default_rng(5).standard_normal(g.shape)
+    sigma = 1.0
+    op.shifted_solve(0.0, sigma, r)
+    base = op.factorization_count
+    u = op.shifted_solve(1.0, sigma, r)
+    assert op.factorization_count == base + 1
+    residual = sigma * u + op.apply(1.0, u) - r
+    assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(r))
+    op.shifted_solve(1.0, sigma, r)  # the new factor is cached
+    assert op.factorization_count == base + 1
+
+def test_2d_new_shift_refactorizes():
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+    op = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.5 * np.cos(t) + 0.0 * x, 0.2)
+    r = np.ones(g.shape)
+    op.shifted_solve(0.5, 4.0, r)
+    base = op.factorization_count
+    u = op.shifted_solve(0.5, 6.0, r)
+    assert op.factorization_count == base + 1
+    np.testing.assert_allclose(u, _fresh_shifted_solve(op, 0.5, 6.0, r), rtol=1e-12)
+
 def test_operator_time_continuity():
     g = ops.dirichlet_grid((0.0, 1.0), 20)
     op = ops.SparseDiffusionOperator(g, lambda x, t: 2.0 + np.sin(x + t), 0.0)
