@@ -93,7 +93,8 @@ class BdfScheme:
     gamma : tuple of Fraction
         Explicit coefficients gamma_0..gamma_{k-1} (exact).
     delta_f, gamma_f : numpy arrays
-        Floating-point images of the rationals.
+        Images of the rationals that the stepper computes with: float64,
+        or extended-precision objects in a ``dataclasses.replace`` copy.
     """
 
     k: int

@@ -159,33 +159,17 @@ class RunConfig:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {
-            "problem": {
-                "example": self.example,
-                "boundary": self.boundary,
-                "extent": [list(pair) for pair in self.extent],
-                "points": list(self.points),
-                "a": self.a,
-                "b": self.b,
-                "nonlinearity": self.nonlinearity,
-                "exact": self.exact,
-                "exact_dt": self.exact_dt,
-            },
-            "scheme": {"k": self.k},
-            "time": {
-                "tau": self.tau,
-                "steps": self.steps,
-                "final_time": self.final_time,
-                "tau0": self.tau0,
-                "levels": self.levels,
-            },
-            "output": {
-                "path": self.path,
-                "norms": self.norms,
-                "stride": self.stride,
-                "seed": self.seed,
-            },
+        out = {
+            name: {key: getattr(self, key) for key in keys}
+            for name, keys in _KEYS.items()
         }
+        out["problem"]["extent"] = [list(pair) for pair in self.extent]
+        out["problem"]["points"] = list(self.points)
+        return out
+
+
+def _field_variables(ndim: int) -> tuple[str, ...]:
+    return ("x", "t") if ndim == 1 else ("x", "y", "t")
 
 
 def _nearest(name: str, candidates) -> str:
@@ -308,25 +292,23 @@ def parse_config(text: str) -> RunConfig:
     else:
         a = problem.get("a", "1").strip()
         b = problem.get("b", "0").strip()
-        variables = ("x", "t") if len(extent) == 1 else ("x", "y", "t")
-        compile_field(a, variables)
-        compile_field(b, variables)
+        compile_field(a, _field_variables(len(extent)))
+        compile_field(b, _field_variables(len(extent)))
 
     nonlinearity = problem.get(
         "nonlinearity", _DEFAULT_NONLINEARITY[example]
     ).strip()
-    _validate_nonlinearity_text(nonlinearity)
+    _parse_nonlinearity(nonlinearity)
 
     exact = problem.get("exact")
     exact_dt = problem.get("exact_dt")
     if (exact is None) != (exact_dt is None):
         raise ConfigError("problem.exact and problem.exact_dt must be given together")
     if exact is not None:
-        variables = ("x", "t") if len(extent) == 1 else ("x", "y", "t")
-        compile_field(exact.strip(), variables)
-        compile_field(exact_dt.strip(), variables)
         exact = exact.strip()
         exact_dt = exact_dt.strip()
+        compile_field(exact, _field_variables(len(extent)))
+        compile_field(exact_dt, _field_variables(len(extent)))
 
     if "k" not in scheme:
         raise ConfigError("scheme.k is required")
@@ -379,22 +361,22 @@ def override(cfg: RunConfig, **updates) -> RunConfig:
     return parse_config(candidate.to_text())
 
 
-def _validate_nonlinearity_text(text: str) -> None:
+def _parse_nonlinearity(text: str) -> list[tuple[float, str]]:
+    """(coefficient, registry id) pairs of ``c*name + ...``; [] for none."""
     if text == "none":
-        return
+        return []
+    parts = []
     for part in text.split("+"):
-        part = part.strip()
-        if "*" in part:
-            coeff, _, name = part.partition("*")
-            try:
-                float(coeff)
-            except ValueError:
-                raise ConfigError(
-                    f"bad coefficient {coeff.strip()!r} in nonlinearity {text!r}"
-                ) from None
-            name = name.strip()
-        else:
-            name = part
+        coeff_text, star, name = part.partition("*")
+        if not star:
+            coeff_text, name = "1", part
+        try:
+            coeff = float(coeff_text)
+        except ValueError:
+            raise ConfigError(
+                f"bad coefficient {coeff_text.strip()!r} in nonlinearity {text!r}"
+            ) from None
+        name = name.strip()
         if name == "none":
             raise ConfigError("'none' cannot appear inside a nonlinearity sum")
         if name not in NONLINEARITY_REGISTRY:
@@ -402,23 +384,18 @@ def _validate_nonlinearity_text(text: str) -> None:
                 f"unknown nonlinearity {name!r}"
                 f"{_nearest(name, NONLINEARITY_REGISTRY)}"
             )
+        parts.append((coeff, name))
+    return parts
 
 
 def build_nonlinearity(text: str, grid: Grid):
     """Instantiate a registry id or a weighted sum of ids on a grid."""
-    _validate_nonlinearity_text(text)
-    if text == "none":
+    parts = [
+        (coeff, NONLINEARITY_REGISTRY[name](grid))
+        for coeff, name in _parse_nonlinearity(text)
+    ]
+    if not parts:
         return None
-    parts = []
-    for piece in text.split("+"):
-        piece = piece.strip()
-        if "*" in piece:
-            coeff_text, _, name = piece.partition("*")
-            coeff = float(coeff_text)
-            name = name.strip()
-        else:
-            coeff, name = 1.0, piece
-        parts.append((coeff, NONLINEARITY_REGISTRY[name](grid)))
     if len(parts) == 1 and parts[0][0] == 1.0:
         return parts[0][1]
     return ScaledSumTerm(parts)
@@ -458,12 +435,12 @@ def _state_evaluator(expr: FieldExpr, grid: Grid):
 def build_problem(cfg: RunConfig) -> BuiltProblem:
     """Assemble grid, operator, nonlinearity and manufactured solution."""
     grid = Grid(cfg.extent, cfg.points, cfg.boundary)
+    variables = _field_variables(grid.ndim)
     if cfg.example == "3":
         operator, _ = assemble_example3(grid)
     elif cfg.example == "4":
         operator, _ = assemble_example4(grid)
     else:
-        variables = ("x", "t") if grid.ndim == 1 else ("x", "y", "t")
         a_expr = compile_field(cfg.a, variables)
         b_expr = compile_field(cfg.b, variables)
         autonomous = not (a_expr.time_dependent or b_expr.time_dependent)
@@ -471,7 +448,6 @@ def build_problem(cfg: RunConfig) -> BuiltProblem:
     term = build_nonlinearity(cfg.nonlinearity, grid)
     built = BuiltProblem(config=cfg, grid=grid, operator=operator, nonlinear=term)
     if cfg.exact is not None:
-        variables = ("x", "t") if grid.ndim == 1 else ("x", "y", "t")
         built.exact = _state_evaluator(compile_field(cfg.exact, variables), grid)
         built.exact_dt = _state_evaluator(compile_field(cfg.exact_dt, variables), grid)
         built.manufactured = ManufacturedProblem(

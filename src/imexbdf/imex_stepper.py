@@ -12,6 +12,9 @@ node time t_j, and reused by the k steps that need it.  A run marches
 the recursion at fixed step size and flags divergence instead of
 raising, so threshold experiments can treat blow-up as data.
 
+States take the dtype ``np.result_type(u, complex)`` of the starting
+values, so object arrays of mpmath numbers march in their own arithmetic.
+
 Runs are sequential in n; different runs share no mutable state and can
 execute concurrently.
 """
@@ -26,6 +29,16 @@ from .bdf_coeffs import BdfScheme, bdf_scheme
 from .errors import DomainError, StepError
 
 DIVERGENCE_FACTOR = 1e8  # relative overflow guard for blow-up flagging
+
+
+def _state(u) -> np.ndarray:
+    u = np.asarray(u)
+    return u.astype(np.result_type(u, complex))
+
+
+def _peak(u) -> float:
+    # via complex128: np.max over objects skips a NaN in position 0
+    return float(np.max(np.abs(np.asarray(u, dtype=complex))))
 
 
 @dataclass
@@ -76,10 +89,11 @@ def imex_step(
         raise DomainError(f"step size must be positive, got {tau}")
     delta = scheme.delta_f
     gamma = scheme.gamma_f
-    rhs = np.zeros_like(np.asarray(history[-1], dtype=complex))
+    last = np.asarray(history[-1])
+    rhs = np.zeros_like(last, dtype=np.result_type(last, complex))
     for i in range(1, k + 1):
-        rhs -= (delta[i] / tau) * np.asarray(history[k - i], dtype=complex)
-    if not np.all(np.isfinite(rhs)):
+        rhs -= (delta[i] / tau) * history[k - i]
+    if not np.all(np.isfinite(np.asarray(rhs, dtype=complex))):
         raise StepError("non-finite value in the state history")
     if explicit is not None:
         for i in range(k):
@@ -129,11 +143,9 @@ def run(
     if tau <= 0.0:
         raise DomainError(f"step size must be positive, got {tau}")
 
-    states = [np.asarray(u, dtype=complex).copy() for u in starting_values]
+    states = [_state(u) for u in starting_values]
     if divergence_threshold is None:
-        divergence_threshold = DIVERGENCE_FACTOR * (
-            1.0 + float(np.max(np.abs(states[-1])))
-        )
+        divergence_threshold = DIVERGENCE_FACTOR * (1.0 + _peak(states[-1]))
 
     implicit_forcing = forcing if forcing_mode == "implicit" else None
     explicit_forcing = forcing if forcing_mode == "explicit" else None
@@ -155,7 +167,7 @@ def run(
         extra = implicit_forcing(t_n) if implicit_forcing is not None else None
         u_n = imex_step(scheme, A, explicit, states[-k:], t_n, tau, extra_rhs=extra)
         states.append(u_n)
-        peak = float(np.max(np.abs(u_n)))
+        peak = _peak(u_n)
         if not np.isfinite(peak) or peak > divergence_threshold:
             blow_up = n
             break
@@ -176,9 +188,7 @@ def run(
 
 def make_starting_values(exact_solution, scheme: BdfScheme, tau: float):
     """Exact nodal starting states u(0), u(tau), ..., u((k-1)tau)."""
-    return [
-        np.asarray(exact_solution(i * tau), dtype=complex) for i in range(scheme.k)
-    ]
+    return [_state(exact_solution(i * tau)) for i in range(scheme.k)]
 
 
 def bootstrap_starting_values(
@@ -199,13 +209,13 @@ def bootstrap_starting_values(
     manufactured-solution studies should use make_starting_values.
     """
     k = scheme.k
+    values = [_state(u0)]
     if k == 1:
-        return [np.asarray(u0, dtype=complex).copy()]
+        return values
     euler = bdf_scheme(1)
     tau_sub = max(tau ** (k + 1), 1e-12 * tau)
     per_interval = max(1, round(tau / tau_sub))
     tau_sub = tau / per_interval  # land on the coarse nodes exactly
-    values = [np.asarray(u0, dtype=complex).copy()]
     current = values[0]
     for j in range(k - 1):
         traj = run(

@@ -9,8 +9,8 @@ Two operator backends feed the time stepper through one interface:
   used for the half-Laplacian |xi| and the biharmonic |xi|^4.
 
 Nonlinear terms B(t, v) are evaluated on grid states; the stepper only
-ever sees ``apply``, ``shifted_solve`` and ``evaluate``.  States are
-complex arrays shaped like the grid.
+ever sees ``apply``, ``shifted_solve`` and ``evaluate``.  These
+operators take and return complex arrays shaped like the grid.
 """
 
 from __future__ import annotations

@@ -317,6 +317,61 @@ def test_scalar_high_k_errors_below_double_epsilon():
     assert 5.9 <= slope <= 6.3
 
 
+# max-in-time errors of the scalar study on the criterion-6 ladder,
+# recorded from the hand-written 50-digit recursion that the study
+# replaced; marching through ``run`` must reproduce them exactly
+SCALAR_MAX_ERRORS = {
+    1: (
+        0.00901004170155838,
+        0.004551182526362741,
+        0.002287345588856859,
+        0.0011466387660447434,
+        0.0005740643415997877,
+    ),
+    2: (
+        0.0002942564642168391,
+        7.515670038759872e-05,
+        1.897785717474666e-05,
+        4.7674645657692726e-06,
+        1.1947064336960734e-06,
+    ),
+    3: (
+        1.0685508171501336e-05,
+        1.3883585691262895e-06,
+        1.7664851043473959e-07,
+        2.2269237947352325e-08,
+        2.795235714669107e-09,
+    ),
+    4: (
+        4.125058405767923e-07,
+        2.7344306496881367e-08,
+        1.753903030414219e-09,
+        1.1096257740118216e-10,
+        6.9762487894955486e-12,
+    ),
+    5: (
+        1.6533783903952815e-08,
+        5.607171599485189e-10,
+        1.8138778577598984e-11,
+        5.759498531928649e-13,
+        1.8136891251015117e-14,
+    ),
+    6: (
+        6.768035585193091e-10,
+        1.1820103775620232e-11,
+        1.9293059696231356e-13,
+        3.0748607596766162e-15,
+        4.8500018944190754e-17,
+    ),
+}
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_scalar_study_errors_pinned(k):
+    taus = [1.0 / 20.0 / 2**j for j in range(5)]
+    report = harness.scalar_convergence_study(bdf_scheme(k), taus)
+    assert tuple(r.max_errors["abs"] for r in report.rows) == SCALAR_MAX_ERRORS[k]
+
+
 # -------------------------------------------------- threshold experiment
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -351,3 +352,89 @@ def test_run_validates_counts():
         stepper.run(bdf_scheme(3), A, None, [np.ones(4)] * 2, 0.1, 10)
     with pytest.raises(DomainError):
         stepper.run(bdf_scheme(3), A, None, [np.ones(4)] * 3, 0.1, 2)
+
+
+# ------------------------------------------------------ object states
+
+
+class ScalarOp:
+    """A = rate * I on states of any dtype, solved exactly."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def shifted_solve(self, t, sigma, r):
+        return r / (sigma + self.rate)
+
+
+class ScaleTerm:
+    def __init__(self, c):
+        self.c = c
+
+    def evaluate(self, t, u):
+        return self.c * u
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_object_states_stay_object_and_match_complex(k):
+    tau, N = 0.05, 40
+    start = [math.exp(-1.7 * tau * n) * np.array([1.0, -0.5, 0.25]) for n in range(k)]
+    ref = stepper.run(bdf_scheme(k), ScalarOp(2.0), ScaleTerm(0.3), start, tau, N)
+    assert all(u.dtype == np.complex128 for u in ref.states)
+    with mp.workdps(30):
+        mp_start = [np.array([mp.mpf(x) for x in u]) for u in start]
+        traj = stepper.run(
+            bdf_scheme(k), ScalarOp(2.0), ScaleTerm(0.3), mp_start, tau, N
+        )
+    assert traj.blow_up is None and len(traj.states) == N + 1
+    assert all(u.dtype == object for u in traj.states)
+    assert all(isinstance(x, mp.mpf) for x in traj.states[-1])
+    for u, v in zip(traj.states, ref.states):
+        np.testing.assert_allclose(u.astype(complex), v, rtol=0, atol=1e-14)
+
+
+def test_starting_value_helpers_keep_object_dtype():
+    scheme = bdf_scheme(2)
+    exact = lambda t: np.array([mp.exp(-t), mp.mpf(0)])
+    assert all(u.dtype == object for u in stepper.make_starting_values(exact, scheme, 0.1))
+    assert stepper.make_starting_values(math.exp, scheme, 0.1)[0].dtype == np.complex128
+    boot = stepper.bootstrap_starting_values(
+        bdf_scheme(1), ScalarOp(1.0), None, exact(0.0), 0.1
+    )
+    assert boot[0].dtype == object
+
+
+class PoisonOp(ScalarOp):
+    """Exact solve, then one entry replaced by a non-finite mpf."""
+
+    def __init__(self, rate, value, index):
+        super().__init__(rate)
+        self.value, self.index = value, index
+
+    def shifted_solve(self, t, sigma, r):
+        out = super().shifted_solve(t, sigma, r)
+        out[self.index] = self.value
+        return out
+
+
+NON_FINITE = [
+    pytest.param(value, index, id=f"{name}-at-{index}")
+    for name, value in (("nan", mp.nan), ("inf", mp.inf))
+    for index in (0, -1)
+]
+
+
+@pytest.mark.parametrize("value, index", NON_FINITE)
+def test_non_finite_object_history_raises(value, index):
+    u = np.array([mp.mpf(1), mp.mpf(2), mp.mpf(3)])
+    u[index] = value
+    with pytest.raises(StepError):
+        stepper.imex_step(bdf_scheme(1), ScalarOp(1.0), None, [u], 0.1, 0.1)
+
+
+@pytest.mark.parametrize("value, index", NON_FINITE)
+def test_non_finite_object_state_flags_blow_up(value, index):
+    start = [np.array([mp.mpf(1), mp.mpf(2), mp.mpf(3)])]
+    traj = stepper.run(bdf_scheme(1), PoisonOp(1.0, value, index), None, start, 0.1, 5)
+    assert traj.blow_up == 1
+    assert len(traj.states) == 2
