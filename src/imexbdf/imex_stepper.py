@@ -8,9 +8,12 @@ One step solves
 so each step costs exactly one shifted linear solve.  The implicit side
 sees only A, the explicit side only B, both through the operator
 interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
-node time t_j, and reused by the k steps that need it.  A run marches
-the recursion at fixed step size and flags divergence instead of
-raising, so threshold experiments can treat blow-up as data.
+node time t_j, and reused by the k steps that need it.  Each side of
+the right-hand side is one contraction of a (k, *shape) history with
+its k coefficients; ``run`` keeps the last k states and explicit values
+in two such buffers, shifted by one row per step.  A run marches the
+recursion at fixed step size and flags divergence instead of raising,
+so threshold experiments can treat blow-up as data.
 
 States take the dtype ``np.result_type(u, complex)`` of the starting
 values, so object arrays of mpmath numbers march in their own arithmetic.
@@ -21,6 +24,7 @@ execute concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +41,8 @@ def _state(u) -> np.ndarray:
 
 
 def _peak(u) -> float:
-    # via complex128: np.max over objects skips a NaN in position 0
-    return float(np.max(np.abs(np.asarray(u, dtype=complex))))
+    # via complex128: a max over objects skips a NaN in position 0
+    return float(np.abs(np.asarray(u, dtype=complex)).max())
 
 
 @dataclass
@@ -68,18 +72,19 @@ class Trajectory:
 def imex_step(
     scheme: BdfScheme,
     A,
-    explicit: list[np.ndarray] | None,
-    history: list[np.ndarray],
+    explicit: list[np.ndarray] | np.ndarray | None,
+    history: list[np.ndarray] | np.ndarray,
     t_n: float,
     tau: float,
     extra_rhs=None,
 ):
     """Advance one step.  ``history`` holds the last k states oldest
-    first, so ``history[k-i]`` is u_{n-i}.  ``explicit`` holds the
-    explicit values B(t_j, u_j) (plus any explicit forcing) at the same
-    k nodes in the same order, or is None when there is no explicit
-    side.  ``extra_rhs`` is an optional state added to the right-hand
-    side before the solve (implicit-side forcing)."""
+    first, as a list or a (k, *shape) array, so ``history[k-i]`` is
+    u_{n-i}.  ``explicit`` holds the explicit values B(t_j, u_j) (plus
+    any explicit forcing) at the same k nodes in the same order, in the
+    same form, or is None when there is no explicit side.  ``extra_rhs``
+    is an optional state added to the right-hand side before the solve
+    (implicit-side forcing)."""
     k = scheme.k
     if len(history) != k:
         raise DomainError(f"history must hold exactly {k} states, got {len(history)}")
@@ -88,16 +93,16 @@ def imex_step(
     if tau <= 0.0:
         raise DomainError(f"step size must be positive, got {tau}")
     delta = scheme.delta_f
-    gamma = scheme.gamma_f
-    last = np.asarray(history[-1])
-    rhs = np.zeros_like(last, dtype=np.result_type(last, complex))
-    for i in range(1, k + 1):
-        rhs -= (delta[i] / tau) * history[k - i]
-    if not np.all(np.isfinite(np.asarray(rhs, dtype=complex))):
+    hist = np.asarray(history)
+    # newest first (i = 1..k), the summation order of the recursion
+    rhs = ((delta[1:] / -tau) @ hist[::-1].reshape(k, -1)).astype(
+        np.result_type(hist, complex), copy=False
+    )
+    if not np.isfinite(np.asarray(rhs, dtype=complex)).all():
         raise StepError("non-finite value in the state history")
     if explicit is not None:
-        for i in range(k):
-            rhs += gamma[i] * explicit[k - i - 1]
+        rhs += scheme.gamma_f @ np.asarray(explicit)[::-1].reshape(k, -1)
+    rhs = rhs.reshape(hist.shape[1:])
     if extra_rhs is not None:
         rhs = rhs + extra_rhs
     sigma = delta[0] / tau
@@ -157,24 +162,32 @@ def run(
             return B.evaluate(t, u)
         return explicit_forcing(t) + B.evaluate(t, u)
 
+    # ring buffers of the last k states and explicit values, oldest
+    # first; every solve result also stays in ``states`` as its own array
+    hist = np.array(states)
     explicit = None
     if B is not None or explicit_forcing is not None:
-        explicit = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
+        values = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
+        explicit = np.empty(hist.shape, dtype=np.result_type(hist, *values))
+        explicit[:] = values
 
     blow_up = None
     for n in range(k, N + 1):
         t_n = t0 + n * tau
         extra = implicit_forcing(t_n) if implicit_forcing is not None else None
-        u_n = imex_step(scheme, A, explicit, states[-k:], t_n, tau, extra_rhs=extra)
+        u_n = imex_step(scheme, A, explicit, hist, t_n, tau, extra_rhs=extra)
         states.append(u_n)
         peak = _peak(u_n)
-        if not np.isfinite(peak) or peak > divergence_threshold:
+        if not math.isfinite(peak) or peak > divergence_threshold:
             blow_up = n
             break
+        hist[:-1] = hist[1:]
+        hist[-1] = u_n
         if explicit is not None and n < N:
             # evaluated right after the solve at t_n, so an operator
             # applied by the forcing reuses the matrix assembled for it
-            explicit = explicit[1:] + [explicit_value(t_n, u_n)]
+            explicit[:-1] = explicit[1:]
+            explicit[-1] = explicit_value(t_n, u_n)
 
     times = t0 + tau * np.arange(len(states))
     return Trajectory(

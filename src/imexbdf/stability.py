@@ -118,17 +118,30 @@ def _as_square_matrix(A) -> np.ndarray:
     return M
 
 
+# one slot holding (key, boundary) of the last matrix; the pair is
+# replaced as one tuple, so a concurrent reader sees the old pair or the
+# new one, never a key with another matrix's boundary
+_boundary_cache = [None]
+
+
 def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     """Boundary samples of the numerical range {<Av,v>/<v,v>}.
 
     For each direction theta, the extreme eigenvector of the Hermitian
     part of e^{-i theta} A is a support point of the (convex) numerical
     range; its Rayleigh quotient under A is a boundary point.  Returns
-    the boundary values at the n_angles (even) equispaced directions.
+    the boundary values at the n_angles (even) equispaced directions, as
+    a read-only array.  The last matrix's boundary is cached, so
+    ``stability_constant`` followed by ``angle_of_analyticity_check`` on
+    one matrix computes it once.
     """
     M = _as_square_matrix(A)
     if n_angles < 360 or n_angles % 2:
         raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
+    key = (M.shape, n_angles, M.tobytes())
+    cached = _boundary_cache[0]
+    if cached is not None and cached[0] == key:
+        return cached[1]
     herm = 0.5 * (M + M.conj().T)
     if np.linalg.eigvalsh(herm).min() <= 0.0:
         raise CoercivityError("Hermitian part is not positive definite")
@@ -140,7 +153,10 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     stack = 0.5 * (phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T)
     _, vecs = np.linalg.eigh(stack)
     support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
-    return np.einsum("tj,jk,tk->t", support.conj(), M, support)
+    boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support)
+    boundary.setflags(write=False)
+    _boundary_cache[0] = (key, boundary)
+    return boundary
 
 
 def stability_constant(A, n_angles: int = 720) -> float:

@@ -346,6 +346,93 @@ def test_explicit_side_evaluated_once_per_node(with_forcing):
     assert B.times == list(traj.times[:N])
     assert forcing_times == (B.times if with_forcing else [])
 
+# --------------------------------------------------- history buffers
+
+
+def _forced_problem(shape):
+    """Time-dependent diffusion with a cubic explicit term on a 1-d or
+    2-d Dirichlet grid, plus smooth starting values for k = 3."""
+    if len(shape) == 1:
+        g = dirichlet_grid((0.0, 1.0), shape[0])
+        a = lambda x, t: 1.0 + 0.2 * np.sin(x + t)
+        profile = np.sin(np.pi * g.axis_nodes(0))
+    else:
+        g = dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], shape)
+        a = lambda x, y, t: 1.0 + 0.2 * np.sin(x + y + t)
+        X, Y = g.meshes()
+        profile = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    A = SparseDiffusionOperator(g, a, 0.1)
+    B = PointwiseTerm(g, lambda u: -(u**3))
+    start = [profile * math.exp(-0.02 * n) for n in range(3)]
+    return A, B, start
+
+
+@pytest.mark.parametrize("shape", [(24,), (8, 8)], ids=["1d", "2d"])
+def test_run_states_do_not_alias_the_history_buffer(shape):
+    # a longer run keeps shifting the buffer after step 10; the states
+    # it returned up to there must not move
+    runs = {}
+    for N in (10, 20):
+        A, B, start = _forced_problem(shape)
+        runs[N] = stepper.run(bdf_scheme(3), A, B, start, 0.02, N, forcing=lambda t: 0.1 * t)
+    long, short = runs[20].states, runs[10].states
+    assert len(short) == 11 and len(long) == 21
+    for u, v in zip(long, short):
+        assert u.shape == shape
+        np.testing.assert_array_equal(u, v)
+    for i in range(len(long)):
+        for j in range(i):
+            assert not np.shares_memory(long[i], long[j])
+
+
+class RecordingSolve(DiagOp):
+    """DiagOp that keeps the right-hand side of its last solve."""
+
+    def shifted_solve(self, t, sigma, r):
+        self.rhs = r
+        return super().shifted_solve(t, sigma, r)
+
+
+@pytest.mark.parametrize("with_explicit", [False, True])
+@pytest.mark.parametrize("shape", [(4,), (4, 5)], ids=["1d", "2d"])
+def test_step_list_and_array_history_agree(shape, with_explicit):
+    rng = np.random.default_rng(5)
+    k = 4
+    scheme = bdf_scheme(k)
+    grid = GRID4 if len(shape) == 1 else dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], shape)
+    history = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(k)]
+    explicit = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(k)]
+    if not with_explicit:
+        explicit = None
+    stacked = None if explicit is None else np.array(explicit)
+    from_list = stepper.imex_step(scheme, DiagOp(grid, 2.0), explicit, history, 0.3, 0.1)
+    from_array = stepper.imex_step(
+        scheme, DiagOp(grid, 2.0), stacked, np.array(history), 0.3, 0.1
+    )
+    assert from_list.shape == shape
+    np.testing.assert_array_equal(from_list, from_array)
+
+
+def test_step_real_list_history_gives_complex_rhs():
+    rng = np.random.default_rng(6)
+    k = 3
+    history = [rng.standard_normal(4) for _ in range(k)]
+    explicit = [rng.standard_normal(4) for _ in range(k)]
+    real_op, complex_op = RecordingSolve(GRID4, 1.0), RecordingSolve(GRID4, 1.0)
+    u = stepper.imex_step(bdf_scheme(k), real_op, explicit, history, 0.3, 0.1)
+    v = stepper.imex_step(
+        bdf_scheme(k),
+        complex_op,
+        np.array(explicit, dtype=complex),
+        np.array(history, dtype=complex),
+        0.3,
+        0.1,
+    )
+    assert real_op.rhs.dtype == np.complex128
+    np.testing.assert_array_equal(real_op.rhs, complex_op.rhs)
+    np.testing.assert_array_equal(u, v)
+
+
 def test_run_validates_counts():
     A = DiagOp(GRID4, 1.0)
     with pytest.raises(DomainError):

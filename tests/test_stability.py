@@ -277,6 +277,33 @@ def test_angle_check_diagonal_inequality():
     assert measured >= math.degrees(math.asin(1.0 / lam)) - 1e-6
 
 
+def test_boundary_computed_once_per_matrix(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(31)
+    spd = [g @ g.T + 6 * np.eye(6) for g in rng.standard_normal((2, 6, 6))]
+    A, B = (np.exp(0.7j) * m for m in spd)
+    lam = stability_constant(A)
+    assert angle_of_analyticity_check(A, lam)[0]
+    assert len(calls) == 1
+    stability_constant(B)
+    stability_constant(A)
+    assert len(calls) == 3
+
+
+def test_boundary_is_read_only():
+    boundary = numerical_range_boundary(np.diag([1.0, 2.0 + 1.0j, 3.0]), 360)
+    with pytest.raises(ValueError):
+        boundary[0] = 0.0
+    assert not numerical_range_boundary(np.diag([1.0, 2.0 + 1.0j, 3.0]), 360).flags.writeable
+
+
 def test_boundary_points_lie_in_numerical_range():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
