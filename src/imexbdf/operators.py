@@ -8,6 +8,9 @@ Two operator backends feed the time stepper through one interface:
 * spectral-diagonal operators (Fourier multipliers) on periodic grids,
   used for the half-Laplacian |xi| and the biharmonic |xi|^4.
 
+Shifted solves factor the 1-d stencil (tridiagonal, plus two corners
+when periodic) with LAPACK's banded LU and the 2-d stencil with SuperLU.
+
 Nonlinear terms B(t, v) are evaluated on grid states; the stepper only
 ever sees ``apply``, ``shifted_solve`` and ``evaluate``.  These
 operators take and return complex arrays shaped like the grid.
@@ -23,6 +26,7 @@ from numbers import Number
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .errors import CoercivityError, ConfigError, DomainError, UnsupportedOperationError
@@ -189,9 +193,12 @@ class SparseDiffusionOperator(LinearOperator):
     and a constant real weight matrix W_i per axis are built once, so
     the matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with
     c_i(t) the interface coefficients along axis i.  Shifted solves go
-    through a cached direct sparse factorization, in natural order on
-    1-d grids and with a symmetric fill-reducing ordering in 2-d (the
-    stencils have a symmetric pattern).  The factor is reused across
+    through a cached direct factorization: on 1-d grids a partially
+    pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK zgttrf/zgttrs)
+    of the three bands gathered from the matrix data, with the two
+    periodic corners added by Sherman-Morrison; in 2-d a sparse LU
+    (SuperLU) with a symmetric fill-reducing ordering (the stencils
+    have a symmetric pattern).  The factor is reused across
     steps when the operator is autonomous and the step size is fixed,
     and rebuilt when sigma changes.  A new time alone rebuilds it on
     1-d grids; in 2-d, A(t) - A(t_old) = O(t - t_old) makes the factor
@@ -209,11 +216,14 @@ class SparseDiffusionOperator(LinearOperator):
         self.autonomous = scalars if autonomous is None else bool(autonomous)
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
         self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
+        if grid.ndim == 1:
+            self._band_slots = _band_slots(self._indptr, self._indices)
         self._lock = threading.Lock()
         self._matrix_key = None
         self._matrix = None
-        self._factor_key = None
-        self._factor = None
+        # (key, factor) in one tuple, so a lock-free read never pairs
+        # one key with another factor
+        self._factor_cache = (None, None)
         self._factor_count = 0
         self.assemble(0.0)  # validate coefficients early
 
@@ -224,6 +234,11 @@ class SparseDiffusionOperator(LinearOperator):
     @property
     def factorization_count(self) -> int:
         return self._factor_count
+
+    @property
+    def _factor(self):
+        """The cached factor, for inspection."""
+        return self._factor_cache[1]
 
     def _time_key(self, t: float):
         return "const" if self.autonomous else float(t)
@@ -273,29 +288,70 @@ class SparseDiffusionOperator(LinearOperator):
     def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
         rhs = _as_state(self.grid, r).ravel()
         key = (self._time_key(t), float(sigma))
-        with self._lock:
-            factor, factor_key = self._factor, self._factor_key
+        factor_key, factor = self._factor_cache
         if factor_key != key:
-            data = self.assemble(t).data.copy()
-            data[self._diag_slots] += sigma
-            matrix = self._csc(data)
+            data = self.assemble(t).data
             if self.grid.ndim == 1:
-                # 1-d stencils (tridiagonal, plus two corners when
-                # periodic) gain nothing from a fill-reducing ordering,
-                # and a fresh factor costs about as much as refinement
-                ordering = "NATURAL"
+                sub, sup, corners = (data[slots] for slots in self._band_slots)
+                factor = _TridiagonalLU(sub, data[self._diag_slots] + sigma, sup, corners)
             else:
-                ordering = "MMD_AT_PLUS_A"
+                data = data.copy()
+                data[self._diag_slots] += sigma
+                matrix = self._csc(data)
                 if factor_key is not None and factor_key[1] == key[1]:
                     u = _refine(factor, matrix, rhs)
                     if u is not None:
                         return u.reshape(self.grid.shape)
-            factor = splu(matrix, permc_spec=ordering)
+                factor = splu(matrix, permc_spec="MMD_AT_PLUS_A")
             with self._lock:
-                self._factor_key = key
-                self._factor = factor
+                self._factor_cache = (key, factor)
                 self._factor_count += 1
         return factor.solve(rhs).reshape(self.grid.shape)
+
+
+class _TridiagonalLU:
+    """Partially pivoted LU (LAPACK zgttrf) of the tridiagonal matrix M
+    with sub-, main and super-diagonal ``sub``, ``diag``, ``sup``, plus
+    the corners alpha = M[0, n-1] and beta = M[n-1, 0] of a periodic
+    stencil when ``corners`` holds them (empty otherwise).
+
+    The corners enter by Sherman-Morrison: with gamma = -diag[0],
+    M = T + u v^T for u = (gamma, 0, ..., 0, beta), v = (1, 0, ..., 0,
+    alpha / gamma) and T the band with diag[0] - gamma and diag[n-1] -
+    alpha beta / gamma; z = T^-1 u is computed once, and a solve is
+    y - (v.y) / (1 + v.z) z with y = T^-1 b.  An exactly singular T
+    or a zero denominator raises RuntimeError.
+    """
+
+    def __init__(self, sub, diag, sup, corners):
+        self._correction = None
+        if corners.size:
+            alpha, beta = corners
+            gamma = -diag[0]
+            if gamma == 0:
+                raise RuntimeError("periodic factor needs a nonzero M[0, 0]")
+            diag = diag.copy()
+            diag[0] -= gamma
+            diag[-1] -= alpha * beta / gamma
+        *self._lu, info = zgttrf(sub, diag, sup)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal factor is exactly singular (zero pivot {info})")
+        if corners.size:
+            u = np.zeros(diag.size, dtype=complex)
+            u[0], u[-1] = gamma, beta
+            z = self.solve(u)  # T^-1 u: no correction is set yet
+            ratio = alpha / gamma
+            denom = 1.0 + z[0] + ratio * z[-1]
+            if denom == 0:
+                raise RuntimeError("periodic corner correction is exactly singular")
+            self._correction = (ratio, denom, z)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = zgttrs(*self._lu, rhs)
+        if self._correction is not None:
+            ratio, denom, z = self._correction
+            x -= (x[0] + ratio * x[-1]) / denom * z
+        return x
 
 
 # Corrections allowed on a factor of another time before refactorizing.
@@ -388,6 +444,16 @@ def _stencil_pattern(grid: Grid):
     return indptr, indices, diag_slots, weights
 
 
+def _band_slots(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Data slots of a 1-d stencil pattern off its diagonal: the sub-
+    and super-diagonal, each in row order, and the corners M[0, n-1],
+    M[n-1, 0] of a periodic grid (none on a Dirichlet grid)."""
+    n = indptr.size - 1
+    offset = indices - np.repeat(np.arange(n), np.diff(indptr))  # row - column
+    sub, sup, alpha, beta = (np.flatnonzero(offset == d) for d in (1, -1, 1 - n, n - 1))
+    return sub, sup, np.concatenate([alpha, beta])
+
+
 class SpectralDiagonalOperator(LinearOperator):
     """Fourier multiplier operator on a periodic grid.
 
@@ -447,8 +513,8 @@ def grid_gradient_padded(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, list[np
             h = grid.h[axis]
             grads.append((np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h))
         return v, grads
-    pad_width = [(1, 1)] * grid.ndim
-    padded = np.pad(v, pad_width, mode="constant")
+    padded = np.zeros(tuple(n + 2 for n in v.shape), dtype=v.dtype)
+    padded[(slice(1, -1),) * grid.ndim] = v
     grads = []
     for axis in range(grid.ndim):
         h = grid.h[axis]

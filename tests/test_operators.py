@@ -368,14 +368,54 @@ def test_coercivity_probes_drawn_once_per_shape():
         assert not v.flags.writeable
     assert ops._coercivity_probes((5, 3)) is probes
 
+@pytest.mark.parametrize("ratio", [0.0, 1.3, 14.5])
+@pytest.mark.parametrize("n", [4, 48])
 @pytest.mark.parametrize(
     "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
 )
-def test_1d_factor_keeps_natural_order(make_grid):
-    g = make_grid((0.0, 1.0), 48)
-    op = ops.SparseDiffusionOperator(g, 1.0, 1.3)
-    op.shifted_solve(0.0, 40.0, np.ones(48))
-    np.testing.assert_array_equal(op._factor.perm_c, np.arange(48))
+def test_1d_shifted_solve_matches_dense(make_grid, n, ratio):
+    g = make_grid((0.0, 1.0), n)
+    coeff = lambda x, t: 1.0 + 0.5 * np.sin(2.0 * np.pi * x + t)
+    op = ops.SparseDiffusionOperator(g, coeff, lambda x, t: ratio * coeff(x, t))
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for t in (0.0, 0.7):
+        for sigma in (1e-3, 40.0):
+            count = op.factorization_count
+            u = op.shifted_solve(t, sigma, r)
+            assert op.factorization_count == count + 1
+            dense = sigma * np.eye(n) + op.assemble(t).toarray()
+            backward = np.linalg.norm(dense @ u - r) / (
+                np.linalg.norm(dense, 2) * np.linalg.norm(u) + np.linalg.norm(r)
+            )
+            assert backward <= 1e-14
+            ref = np.linalg.solve(dense, r)
+            cond = np.linalg.cond(dense)
+            assert np.linalg.norm(u - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+            op.shifted_solve(t, sigma, r)  # a repeat reuses the factor
+            assert op.factorization_count == count + 1
+
+def test_tridiagonal_factor_raises_on_exact_singularity():
+    empty = np.empty(0, dtype=complex)
+    # zero first column: zgttrf meets an exactly zero pivot
+    with pytest.raises(RuntimeError, match="singular"):
+        ops._TridiagonalLU(
+            np.array([0, 1, 1], dtype=complex), np.array([0, 2, 2, 2], dtype=complex),
+            np.ones(3, dtype=complex), empty,
+        )
+    # M = I with corners 1, 1: rows 0 and 3 agree, T = diag(2, 1, 1, 2) is
+    # regular and the Sherman-Morrison denominator 1 + v.z is exactly 0
+    with pytest.raises(RuntimeError, match="singular"):
+        ops._TridiagonalLU(
+            np.zeros(3, dtype=complex), np.ones(4, dtype=complex),
+            np.zeros(3, dtype=complex), np.ones(2, dtype=complex),
+        )
+    # gamma = -M[0, 0] = 0 leaves no Sherman-Morrison splitting
+    with pytest.raises(RuntimeError, match="nonzero M"):
+        ops._TridiagonalLU(
+            np.ones(3, dtype=complex), np.array([0, 2, 2, 2], dtype=complex),
+            np.ones(3, dtype=complex), np.ones(2, dtype=complex),
+        )
 
 def test_2d_factor_uses_fill_reducing_order():
     g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8))
