@@ -27,7 +27,10 @@ of the expressions module.  The examples are: (1) divergence-form
 diffusion with pointwise sink and flux divergence, (2) the same
 operator with gradient-dependent forcing, (3) the spectral
 half-Laplacian, (4) the spectral biharmonic with Laplacian-of-f
-forcing; spectral examples live on a periodic torus.
+forcing; spectral examples live on a periodic torus.  The named terms
+of ``nonlinearity`` and each example's default sum of them come from
+``operators.NONLINEARITY_REGISTRY`` and ``operators.EXAMPLE_TERMS``,
+the lists ``assemble_example1..4`` build from.
 """
 
 from __future__ import annotations
@@ -44,19 +47,14 @@ from .expressions import FieldExpr, compile_field
 from .norms import parse_norm_token
 from .operators import (
     DIRICHLET,
+    EXAMPLE_TERMS,
+    NONLINEARITY_REGISTRY,
     PERIODIC,
-    DivergenceFormTerm,
-    GradientFormTerm,
     Grid,
-    LaplacianPointwiseTerm,
-    PointwiseTerm,
-    ScaledSumTerm,
     SparseDiffusionOperator,
-    _default_flux,
     assemble_example3,
     assemble_example4,
-    default_gradient_drag,
-    double_well_drift,
+    build_explicit_term,
 )
 
 _SECTIONS = ("problem", "scheme", "time", "output")
@@ -83,21 +81,6 @@ _EXAMPLE_IDS = {
     "custom": "custom",
 }
 _SPECTRAL_EXAMPLES = ("3", "4")
-_DEFAULT_NONLINEARITY = {
-    "1": "cubic_sink + exp_flux_div",
-    "2": "grad_quartic_drag",
-    "3": "expm1",
-    "4": "double_well_laplacian",
-    "custom": "none",
-}
-
-NONLINEARITY_REGISTRY = {
-    "cubic_sink": lambda grid: PointwiseTerm(grid, lambda u: -(u**3)),
-    "exp_flux_div": lambda grid: DivergenceFormTerm(grid, f=None, g=_default_flux(grid)),
-    "grad_quartic_drag": lambda grid: GradientFormTerm(grid, f=default_gradient_drag),
-    "expm1": lambda grid: PointwiseTerm(grid, np.expm1),
-    "double_well_laplacian": lambda grid: LaplacianPointwiseTerm(grid, double_well_drift),
-}
 
 
 @dataclass(frozen=True)
@@ -295,9 +278,8 @@ def parse_config(text: str) -> RunConfig:
         compile_field(a, _field_variables(len(extent)))
         compile_field(b, _field_variables(len(extent)))
 
-    nonlinearity = problem.get(
-        "nonlinearity", _DEFAULT_NONLINEARITY[example]
-    ).strip()
+    default_nonlinearity = " + ".join(EXAMPLE_TERMS.get(example, ())) or "none"
+    nonlinearity = problem.get("nonlinearity", default_nonlinearity).strip()
     _parse_nonlinearity(nonlinearity)
 
     exact = problem.get("exact")
@@ -390,15 +372,7 @@ def _parse_nonlinearity(text: str) -> list[tuple[float, str]]:
 
 def build_nonlinearity(text: str, grid: Grid):
     """Instantiate a registry id or a weighted sum of ids on a grid."""
-    parts = [
-        (coeff, NONLINEARITY_REGISTRY[name](grid))
-        for coeff, name in _parse_nonlinearity(text)
-    ]
-    if not parts:
-        return None
-    if len(parts) == 1 and parts[0][0] == 1.0:
-        return parts[0][1]
-    return ScaledSumTerm(parts)
+    return build_explicit_term(grid, _parse_nonlinearity(text))
 
 
 @dataclass

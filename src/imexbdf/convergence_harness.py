@@ -61,22 +61,6 @@ class ManufacturedProblem:
         # explicit points); linear problems apply it at t_n
         return "explicit" if self.nonlinear is not None else "implicit"
 
-    def residual(self, t: float = 0.0, kind: NormKind = LINF) -> float:
-        """Norm of u' + A u - B - F at time t.
-
-        F is computed from the same u' + A u - B, so this checks only
-        the round-off left by that cancellation: an error in A, B or u'
-        enters both sides and cancels."""
-        u = np.asarray(self.exact(t), dtype=complex)
-        res = (
-            np.asarray(self.exact_dt(t), dtype=complex)
-            + self.operator.apply(t, u)
-            - self.forcing(t)
-        )
-        if self.nonlinear is not None:
-            res = res - self.nonlinear.evaluate(t, u)
-        return spatial_norm(res, kind, self.grid)
-
     def solve(self, scheme: BdfScheme, tau: float, N: int, **kwargs):
         starting = make_starting_values(self.exact, scheme, tau)
         return run(

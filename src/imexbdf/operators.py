@@ -11,9 +11,15 @@ Two operator backends feed the time stepper through one interface:
 Shifted solves factor the 1-d stencil (tridiagonal, plus two corners
 when periodic) with LAPACK's banded LU and the 2-d stencil with SuperLU.
 
-Nonlinear terms B(t, v) are evaluated on grid states; the stepper only
-ever sees ``apply``, ``shifted_solve`` and ``evaluate``.  These
-operators take and return complex arrays shaped like the grid.
+Nonlinear terms B(t, v) are evaluated on grid states, one job per
+class: pointwise maps, div g(v), f(v, grad v), the spectral Laplacian
+of f(v), and weighted sums.  The explicit parts of the paper's four
+examples are named once, in ``NONLINEARITY_REGISTRY`` and
+``EXAMPLE_TERMS``; ``build_explicit_term`` builds both
+``assemble_example1..4`` and the config's ``nonlinearity`` from them.
+The stepper only ever sees ``apply``, ``shifted_solve`` and
+``evaluate``.  These operators take and return complex arrays shaped
+like the grid.
 """
 
 from __future__ import annotations
@@ -91,8 +97,11 @@ class Grid:
 
     def coords(self):
         """Coordinate argument handed to field functions: the node array
-        in 1d, the (X, Y) mesh pair in 2d."""
+        in 1d, the (X, Y) mesh pair in 2d, read-only so that a term
+        can build it once and pass it to every evaluation."""
         meshes = self.meshes()
+        for arr in meshes:
+            arr.setflags(write=False)
         return meshes[0] if self.ndim == 1 else meshes
 
 
@@ -498,6 +507,16 @@ class SpectralDiagonalOperator(LinearOperator):
         return np.fft.ifftn(np.fft.fftn(rhs) / denom)
 
 
+def _pad(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """The state on the padded index set: extended by the homogeneous
+    boundary values on Dirichlet grids, unchanged on periodic grids."""
+    if grid.boundary == PERIODIC:
+        return v
+    padded = np.zeros(tuple(n + 2 for n in v.shape), dtype=v.dtype)
+    padded[(slice(1, -1),) * grid.ndim] = v
+    return padded
+
+
 def grid_gradient_padded(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, list[np.ndarray]]:
     """Zero-padded state and its per-axis finite-difference gradients.
 
@@ -513,8 +532,7 @@ def grid_gradient_padded(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, list[np
             h = grid.h[axis]
             grads.append((np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h))
         return v, grads
-    padded = np.zeros(tuple(n + 2 for n in v.shape), dtype=v.dtype)
-    padded[(slice(1, -1),) * grid.ndim] = v
+    padded = _pad(v, grid)
     grads = []
     for axis in range(grid.ndim):
         h = grid.h[axis]
@@ -540,17 +558,18 @@ def grid_gradient_padded(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, list[np
 
 
 def _padded_coords(grid: Grid):
-    """Coordinates matching the padded index set of grid_gradient_padded."""
+    """Read-only coordinates matching the padded index set of
+    grid_gradient_padded."""
     if grid.boundary == PERIODIC:
         return grid.coords()
-    axes = []
-    for axis in range(grid.ndim):
-        (lo, hi) = grid.extents[axis]
-        nodes = grid.axis_nodes(axis)
-        axes.append(np.concatenate([[lo], nodes, [hi]]))
-    if grid.ndim == 1:
-        return axes[0]
-    return tuple(np.meshgrid(*axes, indexing="ij"))
+    axes = [
+        np.concatenate([[lo], grid.axis_nodes(axis), [hi]])
+        for axis, (lo, hi) in enumerate(grid.extents)
+    ]
+    coords = np.meshgrid(*axes, indexing="ij")
+    for arr in coords:
+        arr.setflags(write=False)
+    return coords[0] if grid.ndim == 1 else tuple(coords)
 
 
 def _centered_divergence(components, grid: Grid) -> np.ndarray:
@@ -558,8 +577,6 @@ def _centered_divergence(components, grid: Grid) -> np.ndarray:
     evaluated at the grid nodes by centered differences."""
     out = np.zeros(grid.shape, dtype=complex)
     for axis, comp in enumerate(components):
-        if comp is None:
-            continue
         h = grid.h[axis]
         if grid.boundary == PERIODIC:
             out += (np.roll(comp, -1, axis) - np.roll(comp, 1, axis)) / (2.0 * h)
@@ -583,55 +600,39 @@ class NonlinearTerm(ABC):
 
 
 class DivergenceFormTerm(NonlinearTerm):
-    """B(t, v) = f(v, x, t) + div g(v, x, t), divergence by centered
-    differences of g sampled at the (boundary-extended) nodes."""
+    """B(t, v) = div g(v, x, t), by centered differences of g sampled at
+    the (boundary-extended) nodes.  In 2d g returns one component per
+    axis."""
 
-    def __init__(self, grid: Grid, f=None, g=None):
+    def __init__(self, grid: Grid, g):
         self.grid = grid
-        self.f = f
         self.g = g
+        self._coords = _padded_coords(grid)
 
     def evaluate(self, t: float, v) -> np.ndarray:
-        state = _as_state(self.grid, v)
-        out = np.zeros(self.grid.shape, dtype=complex)
-        if self.f is not None:
-            out += np.asarray(self.f(state, self.grid.coords(), t), dtype=complex)
-        if self.g is not None:
-            padded, _ = grid_gradient_padded(state, self.grid)
-            gval = self.g(padded, _padded_coords(self.grid), t)
-            comps = (gval,) if self.grid.ndim == 1 else tuple(gval)
-            out += _centered_divergence(comps, self.grid)
-        return out
+        padded = _pad(_as_state(self.grid, v), self.grid)
+        gval = self.g(padded, self._coords, t)
+        comps = (gval,) if self.grid.ndim == 1 else tuple(gval)
+        return _centered_divergence(comps, self.grid)
 
 
 class GradientFormTerm(NonlinearTerm):
-    """B(t, v) = f(v, grad v, x, t) + div g(v, grad v, x, t)."""
+    """B(t, v) = f(v, grad v, x, t), grad v by the differences of
+    grid_gradient_padded at the nodes (a tuple of components in 2d)."""
 
-    def __init__(self, grid: Grid, f=None, g=None):
+    def __init__(self, grid: Grid, f):
         self.grid = grid
         self.f = f
-        self.g = g
+        self._coords = grid.coords()
 
     def evaluate(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
-        padded, grads = grid_gradient_padded(state, self.grid)
-        out = np.zeros(self.grid.shape, dtype=complex)
-        if self.f is not None:
-            if self.grid.boundary == PERIODIC:
-                node_grads = grads
-            else:
-                take = tuple([slice(1, -1)] * self.grid.ndim)
-                node_grads = [g[take] for g in grads]
-            gradient = node_grads[0] if self.grid.ndim == 1 else tuple(node_grads)
-            out += np.asarray(
-                self.f(state, gradient, self.grid.coords(), t), dtype=complex
-            )
-        if self.g is not None:
-            gradient = grads[0] if self.grid.ndim == 1 else tuple(grads)
-            gval = self.g(padded, gradient, _padded_coords(self.grid), t)
-            comps = (gval,) if self.grid.ndim == 1 else tuple(gval)
-            out += _centered_divergence(comps, self.grid)
-        return out
+        _, grads = grid_gradient_padded(state, self.grid)
+        if self.grid.boundary != PERIODIC:
+            take = (slice(1, -1),) * self.grid.ndim
+            grads = [g[take] for g in grads]
+        gradient = grads[0] if self.grid.ndim == 1 else tuple(grads)
+        return np.asarray(self.f(state, gradient, self._coords, t), dtype=complex)
 
 
 class PointwiseTerm(NonlinearTerm):
@@ -681,91 +682,101 @@ class ScaledSumTerm(NonlinearTerm):
         return out
 
 
-def default_cubic_sink(v, x, t):
-    return -(v**3)
-
-
-def _default_flux(grid: Grid):
-    if grid.ndim == 1:
-        return lambda v, x, t: np.exp(v)
-    return lambda v, x, t: (np.exp(v), np.zeros_like(v))
-
-
-def assemble_example1(
-    grid: Grid, a, b, f=default_cubic_sink, g="default", autonomous: bool | None = None
-):
-    """Variable-coefficient diffusion with a pointwise sink and an
-    exponential flux: A = -div((a+ib) grad .), B = f(u,x,t) + div g(u,x,t).
-
-    ``f=None`` or ``g=None`` drops the respective part; the defaults are
-    f = -u^3 and g = (e^u, 0, ...).
-    """
-    op = SparseDiffusionOperator(grid, a, b, autonomous=autonomous)
-    flux = _default_flux(grid) if isinstance(g, str) and g == "default" else g
-    term = DivergenceFormTerm(grid, f=f, g=flux)
-    return op, term
-
-
-def assemble_example2(
-    grid: Grid, a, b, f=None, g=None, autonomous: bool | None = None
-):
-    """Variable-coefficient diffusion with gradient-dependent forcing:
-    B = f(u, grad u, x, t) + div g(u, grad u, x, t).
-
-    Default f is the quartic gradient drag -|grad u|^4 u, default g is
-    absent.
-    """
-    if f is None and g is None:
-        f = default_gradient_drag
-    op = SparseDiffusionOperator(grid, a, b, autonomous=autonomous)
-    term = GradientFormTerm(grid, f=f, g=g)
-    return op, term
-
-
 def default_gradient_drag(v, grad, x, t):
     comps = (grad,) if not isinstance(grad, tuple) else grad
     sq = sum(np.abs(c) ** 2 for c in comps)
     return -(sq**2) * v
 
 
-def assemble_example3(grid: Grid, f=np.expm1):
-    """Half-Laplacian semilinear problem: A has symbol |xi| (zero on the
-    constant mode), B = f(u) pointwise; default f(u) = e^u - 1."""
-    freqs = fourier_frequencies(grid)
-    symbol = np.sqrt(sum(xi**2 for xi in freqs))
-    op = SpectralDiagonalOperator(grid, symbol, name="half-laplacian")
-    return op, PointwiseTerm(grid, f)
-
-
 def double_well_drift(v):
     return v**3 - v
 
 
-def assemble_example4(grid: Grid, f=double_well_drift):
-    """Biharmonic phase-field problem: A has symbol |xi|^4, B is the
-    spectral Laplacian of f(u); default f(u) = u^3 - u."""
+def _exp_flux(v, x, t):
+    return np.exp(v) if v.ndim == 1 else (np.exp(v), np.zeros_like(v))
+
+
+# The named explicit terms, each a factory grid -> NonlinearTerm.
+NONLINEARITY_REGISTRY = {
+    "cubic_sink": lambda grid: PointwiseTerm(grid, lambda u: -(u**3)),
+    "exp_flux_div": lambda grid: DivergenceFormTerm(grid, _exp_flux),
+    "grad_quartic_drag": lambda grid: GradientFormTerm(grid, default_gradient_drag),
+    "expm1": lambda grid: PointwiseTerm(grid, np.expm1),
+    "double_well_laplacian": lambda grid: LaplacianPointwiseTerm(grid, double_well_drift),
+}
+
+# The explicit part B of each of the paper's examples, as registry names
+# summed with coefficient 1.
+EXAMPLE_TERMS = {
+    "1": ("cubic_sink", "exp_flux_div"),
+    "2": ("grad_quartic_drag",),
+    "3": ("expm1",),
+    "4": ("double_well_laplacian",),
+}
+
+
+def build_explicit_term(grid: Grid, parts) -> NonlinearTerm | None:
+    """sum c * NONLINEARITY_REGISTRY[name](grid) over the (c, name) pairs
+    of ``parts``: None for no pairs, the bare term for one name with
+    coefficient 1, a ScaledSumTerm otherwise."""
+    terms = [(c, NONLINEARITY_REGISTRY[name](grid)) for c, name in parts]
+    if not terms:
+        return None
+    if len(terms) == 1 and terms[0][0] == 1.0:
+        return terms[0][1]
+    return ScaledSumTerm(terms)
+
+
+def _example_term(grid: Grid, example: str) -> NonlinearTerm:
+    return build_explicit_term(grid, [(1.0, name) for name in EXAMPLE_TERMS[example]])
+
+
+def assemble_example1(grid: Grid, a, b, autonomous: bool | None = None):
+    """Variable-coefficient diffusion with a pointwise sink and an
+    exponential flux: A = -div((a+ib) grad .) and B(u) = -u^3 + div g(u)
+    with g(u) = e^u in 1d, (e^u, 0) in 2d (``cubic_sink +
+    exp_flux_div``)."""
+    op = SparseDiffusionOperator(grid, a, b, autonomous=autonomous)
+    return op, _example_term(grid, "1")
+
+
+def assemble_example2(grid: Grid, a, b, autonomous: bool | None = None):
+    """Variable-coefficient diffusion with gradient-dependent forcing:
+    A as in example 1 and B(u) = -|grad u|^4 u, the quartic gradient
+    drag (``grad_quartic_drag``)."""
+    op = SparseDiffusionOperator(grid, a, b, autonomous=autonomous)
+    return op, _example_term(grid, "2")
+
+
+def assemble_example3(grid: Grid):
+    """Half-Laplacian semilinear problem: A has symbol |xi| (zero on the
+    constant mode) and B(u) = e^u - 1 pointwise (``expm1``)."""
+    freqs = fourier_frequencies(grid)
+    symbol = np.sqrt(sum(xi**2 for xi in freqs))
+    op = SpectralDiagonalOperator(grid, symbol, name="half-laplacian")
+    return op, _example_term(grid, "3")
+
+
+def assemble_example4(grid: Grid):
+    """Biharmonic phase-field problem: A has symbol |xi|^4 and B(u) is
+    the spectral Laplacian of u^3 - u (``double_well_laplacian``)."""
     freqs = fourier_frequencies(grid)
     k2 = sum(xi**2 for xi in freqs)
     op = SpectralDiagonalOperator(grid, k2**2, name="biharmonic")
-    return op, LaplacianPointwiseTerm(grid, f)
+    return op, _example_term(grid, "4")
 
 
 def hermitian_parts(op: LinearOperator, t: float = 0.0):
     """Hermitian and anti-Hermitian parts of the assembled operator.
 
     Sparse backend: returns (A_s, A_a) as sparse matrices with
-    A = A_s + A_a exactly.  Spectral backend: a real symbol is already
-    self-adjoint, so the parts are (diag(symbol), 0), both returned in
-    the Fourier-diagonal representation.
+    A = A_s + A_a exactly.  Spectral backend: the symbol is real (the
+    constructor rejects complex ones), hence self-adjoint, so the parts
+    are (diag(symbol), 0), both in the Fourier-diagonal representation.
     """
     if op.backend == "sparse":
         matrix = op.assemble(t).tocsc()
         sym = 0.5 * (matrix + matrix.conj().T)
         return sym, (matrix - sym).tocsc()
-    symbol = op.assemble(t)
-    if np.iscomplexobj(symbol):
-        raise UnsupportedOperationError(
-            "hermitian parts of a complex-symbol spectral operator are not supported"
-        )
-    flat = symbol.ravel()
+    flat = op.assemble(t).ravel()
     return sp.diags(flat).tocsc(), sp.csc_matrix((flat.size, flat.size))

@@ -12,6 +12,10 @@ from imexbdf.errors import ConfigError
 from imexbdf.operators import (
     SparseDiffusionOperator,
     SpectralDiagonalOperator,
+    assemble_example1,
+    assemble_example2,
+    assemble_example3,
+    assemble_example4,
     periodic_grid,
 )
 
@@ -226,15 +230,44 @@ class TestBuildProblem:
             assert isinstance(built.operator, SpectralDiagonalOperator)
             assert built.nonlinear is not None
 
-    def test_manufactured_problem_residual_vanishes(self):
+    @pytest.mark.parametrize(
+        "example, grid_lines",
+        [
+            ("1", "points = 16"),
+            ("2", "points = 16"),
+            ("3", "points = 32"),
+            ("4", "points = 32"),
+            ("1", "extent = 0, 1 ; 0, 1\npoints = 8, 6"),
+        ],
+        ids=["ex1-1d", "ex2-1d", "ex3-1d", "ex4-1d", "ex1-2d"],
+    )
+    def test_default_nonlinearity_is_the_api_term(self, example, grid_lines):
+        # both spell each example's explicit part from the one list of
+        # named terms, so they agree bit for bit
+        cfg = parse_config(
+            f"[problem]\nexample = {example}\n{grid_lines}\n[scheme]\nk = 1\n"
+        )
+        built = build_problem(cfg)
+        grid = built.grid
+        assemble = {
+            "1": lambda: assemble_example1(grid, 1.0, 0.0),
+            "2": lambda: assemble_example2(grid, 1.0, 0.0),
+            "3": lambda: assemble_example3(grid),
+            "4": lambda: assemble_example4(grid),
+        }
+        _, term = assemble[example]()
+        rng = np.random.default_rng(20261018)
+        v = 0.3 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        assert np.array_equal(term.evaluate(0.4, v), built.nonlinear.evaluate(0.4, v))
+
+    def test_manufactured_exact_solution_at_t0(self):
         cfg = parse_config(
             "[problem]\nexample = 1\npoints = 24\n"
             "exact = exp(-t)*sin(pi*x)\nexact_dt = -exp(-t)*sin(pi*x)\n"
             "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
         )
         built = build_problem(cfg)
-        problem = built.require_manufactured()
-        assert problem.residual(0.3) < 1e-12
+        built.require_manufactured()
         u0 = built.exact(0.0)
         np.testing.assert_allclose(
             u0, np.sin(np.pi * built.grid.axis_nodes(0)), atol=1e-15

@@ -47,11 +47,6 @@ def diffusion_problem(n_nodes=64, cubic=True):
 # -------------------------------------------------- manufactured setup
 
 
-def test_forcing_makes_residual_roundoff():
-    prob = diffusion_problem()
-    for t in (0.0, 0.37, 1.0):
-        assert prob.residual(t) < 1e-11
-
 @pytest.mark.parametrize("cubic", [True, False], ids=["cubic", "linear"])
 def test_forcing_matches_closed_form_sine_mode(cubic):
     # the sine mode is an exact eigenvector of the constant-coefficient

@@ -480,18 +480,6 @@ def test_spectral_rejects_complex_symbol():
 # ------------------------------------------------------ nonlinear terms
 
 
-def test_zero_term_and_dropped_parts():
-    g = ops.dirichlet_grid((0.0, 1.0), 12)
-    _, term = ops.assemble_example1(g, 1.0, 0.0, f=None, g=None)
-    out = term.evaluate(0.0, np.random.default_rng(0).standard_normal(12))
-    assert np.max(np.abs(out)) == 0.0
-
-def test_cubic_sink_default():
-    g = ops.dirichlet_grid((0.0, 1.0), 12)
-    _, term = ops.assemble_example1(g, 1.0, 0.0, g=None)
-    v = np.linspace(0.1, 0.9, 12)
-    np.testing.assert_allclose(term.evaluate(0.0, v), -(v**3), rtol=1e-14)
-
 def test_divergence_of_flux_periodic_oracle():
     # g(u) = e^u with u = sin(x): div g = cos(x) e^{sin x}; centered
     # differences converge at second order on the torus
@@ -499,7 +487,7 @@ def test_divergence_of_flux_periodic_oracle():
     for M in (64, 128):
         g = ops.periodic_grid((0.0, 2.0 * np.pi), M)
         x = g.axis_nodes(0)
-        term = ops.DivergenceFormTerm(g, f=None, g=lambda v, x_, t: np.exp(v))
+        term = ops.DivergenceFormTerm(g, g=lambda v, x_, t: np.exp(v))
         u = np.sin(x)
         exact = np.cos(x) * np.exp(np.sin(x))
         errs.append(np.max(np.abs(term.evaluate(0.0, u) - exact)))
@@ -512,11 +500,22 @@ def test_divergence_flux_dirichlet_uses_boundary_extension():
     for M in (63, 127):
         g = ops.dirichlet_grid((0.0, 1.0), M)
         x = g.axis_nodes(0)
-        term = ops.DivergenceFormTerm(g, f=None, g=lambda v, x_, t: v**2 / 2.0)
+        term = ops.DivergenceFormTerm(g, g=lambda v, x_, t: v**2 / 2.0)
         u = np.sin(np.pi * x)
         exact = np.sin(np.pi * x) * np.pi * np.cos(np.pi * x)
         errs.append(np.max(np.abs(term.evaluate(0.0, u) - exact)))
     assert errs[0] / errs[1] > 3.5
+
+def test_divergence_form_runs_no_gradient_code(monkeypatch):
+    # div g(v) needs only the padded state; the gradients are the job of
+    # GradientFormTerm
+    def no_gradients(*args):
+        raise AssertionError("DivergenceFormTerm computed gradients")
+
+    monkeypatch.setattr(ops, "grid_gradient_padded", no_gradients)
+    for g in (ops.dirichlet_grid((0.0, 1.0), 12), ops.periodic_grid((0.0, 1.0), 12)):
+        term = ops.DivergenceFormTerm(g, g=lambda v, x_, t: v**2)
+        assert np.all(np.isfinite(term.evaluate(0.0, np.linspace(0.1, 0.9, 12))))
 
 def test_gradient_drag_default_oracle():
     # f(u, p) = -|p|^4 u with u = sin x: exact value -cos^4(x) sin(x)
