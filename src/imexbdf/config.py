@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bdf_coeffs import MAX_STEP_NUMBER
 from .convergence_harness import ManufacturedProblem
 from .errors import ConfigError
 from .expressions import FieldExpr, compile_field
@@ -295,8 +296,8 @@ def parse_config(text: str) -> RunConfig:
     if "k" not in scheme:
         raise ConfigError("scheme.k is required")
     k = _get_int(scheme, "scheme", "k")
-    if not 1 <= k <= 6:
-        raise ConfigError(f"scheme.k must be an integer in 1..6, got {k}")
+    if not 1 <= k <= MAX_STEP_NUMBER:
+        raise ConfigError(f"scheme.k must be an integer in 1..{MAX_STEP_NUMBER}, got {k}")
 
     tau = _get_float(time_sec, "time", "tau", positive=True)
     steps = _get_int(time_sec, "time", "steps", minimum=1)

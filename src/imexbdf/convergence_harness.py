@@ -26,7 +26,7 @@ import numpy as np
 
 from .bdf_coeffs import BdfScheme
 from .errors import DomainError, FitError
-from .imex_stepper import make_starting_values, run
+from .imex_stepper import _newest_first, make_starting_values, run
 from .norms import LINF, NormKind, lp_time_norm, parse_norm_token, spatial_norm
 from .operators import Grid, SparseDiffusionOperator, dirichlet_grid
 from .stability import a_alpha_angle
@@ -78,11 +78,11 @@ class ManufacturedProblem:
 
 @dataclass
 class ConsistencyResult:
-    """Per-step defects of the exact solution in the k-step recursion."""
+    """Per-step defect norms of the exact solution in the k-step
+    recursion, n = k..N."""
 
     scheme_k: int
     tau: float
-    defects: list[np.ndarray]
     norms: list[float]
     max_norm: float
 
@@ -104,34 +104,29 @@ def consistency_errors(
         d_n = [ (1/tau) sum_i delta_i u(t_{n-i}) - u'(t_n) ]
             + [ B(t_n, u(t_n)) - sum_i gamma_i B(t_{n-i-1}, u(t_{n-i-1})) ]
 
-    which avoids large-operator round-off at fine step sizes.
+    which avoids large-operator round-off at fine step sizes.  Both sums
+    are the newest-first history contractions of ``imex_step``.
     """
     k = scheme.k
     if N < k:
         raise DomainError(f"N={N} must be at least k={k}")
     if tau <= 0.0:
         raise DomainError(f"step size must be positive, got {tau}")
-    delta, gamma = scheme.delta_f, scheme.gamma_f
-    u_star = [np.asarray(problem.exact(n * tau), dtype=complex) for n in range(N + 1)]
+    grid = problem.grid
+    u_star = np.array([problem.exact(n * tau) for n in range(N + 1)], dtype=complex)
     B = problem.nonlinear
-    b_star = None
     if B is not None:
-        b_star = [B.evaluate(n * tau, u_star[n]) for n in range(N + 1)]
-    defects, norms_seq = [], []
+        b_star = np.array([B.evaluate(n * tau, u) for n, u in enumerate(u_star)])
+    norms_seq = []
     for n in range(k, N + 1):
-        d = -np.asarray(problem.exact_dt(n * tau), dtype=complex)
-        for i in range(k + 1):
-            d += (delta[i] / tau) * u_star[n - i]
+        d = _newest_first(scheme.delta_f / tau, u_star[n - k : n + 1])
+        d -= np.asarray(problem.exact_dt(n * tau), dtype=complex).ravel()
         if B is not None:
-            d += b_star[n]
-            for i in range(k):
-                d -= gamma[i] * b_star[n - i - 1]
-        defects.append(d)
-        norms_seq.append(spatial_norm(d, kind, problem.grid))
+            d += b_star[n].ravel() - _newest_first(scheme.gamma_f, b_star[n - k : n])
+        norms_seq.append(spatial_norm(d.reshape(grid.shape), kind, grid))
     return ConsistencyResult(
         scheme_k=k,
         tau=tau,
-        defects=defects,
         norms=norms_seq,
         max_norm=max(norms_seq),
     )

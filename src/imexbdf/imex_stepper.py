@@ -40,6 +40,13 @@ def _state(u) -> np.ndarray:
     return u.astype(np.result_type(u, complex))
 
 
+def _newest_first(coeffs, history) -> np.ndarray:
+    """sum_i coeffs[i] * history[-1 - i], flattened: the contraction of
+    a (len(coeffs), *shape) history stored oldest first with coefficients
+    ordered newest first, as the recursion sums."""
+    return coeffs @ np.asarray(history)[::-1].reshape(len(coeffs), -1)
+
+
 def _peak(u) -> float:
     # via complex128: a max over objects skips a NaN in position 0
     return float(np.abs(np.asarray(u, dtype=complex)).max())
@@ -94,14 +101,13 @@ def imex_step(
         raise DomainError(f"step size must be positive, got {tau}")
     delta = scheme.delta_f
     hist = np.asarray(history)
-    # newest first (i = 1..k), the summation order of the recursion
-    rhs = ((delta[1:] / -tau) @ hist[::-1].reshape(k, -1)).astype(
+    rhs = _newest_first(delta[1:] / -tau, hist).astype(
         np.result_type(hist, complex), copy=False
     )
     if not np.isfinite(np.asarray(rhs, dtype=complex)).all():
         raise StepError("non-finite value in the state history")
     if explicit is not None:
-        rhs += scheme.gamma_f @ np.asarray(explicit)[::-1].reshape(k, -1)
+        rhs += _newest_first(scheme.gamma_f, explicit)
     rhs = rhs.reshape(hist.shape[1:])
     if extra_rhs is not None:
         rhs = rhs + extra_rhs

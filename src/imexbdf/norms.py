@@ -5,7 +5,7 @@ First-derivative kinds (``w1inf``, ``w1q:<q>``) measure the gradient
 part alone; full Sobolev norms are spelled as sums, e.g. ``linf+w1inf``.
 Sums of kinds realize intersection-space norms as plain sums of the
 parts.  Gradients are spectral on periodic grids and second-order
-finite differences (one-sided at the boundary) on Dirichlet grids.
+centered differences with the zero boundary values on Dirichlet grids.
 
 Accumulation uses compensated summation so that tiny errors measured
 against 1e-10-size temporal residuals do not drown in round-off.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .operators import PERIODIC, Grid, fourier_frequencies, grid_gradient_padded
+from .operators import PERIODIC, Grid, fourier_frequencies, grid_gradient
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def _gradient_magnitude(v: np.ndarray, grid: Grid) -> np.ndarray:
         freqs = fourier_frequencies(grid)
         comps = [np.fft.ifftn(1j * xi * vhat) for xi in freqs]
     else:
-        _, padded_grads = grid_gradient_padded(v, grid)
-        take = tuple([slice(1, -1)] * grid.ndim)
-        comps = [g[take] for g in padded_grads]
+        comps = grid_gradient(v, grid)
     if grid.ndim == 1:
         return np.abs(comps[0])
     return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
@@ -151,17 +149,3 @@ def lp_time_norm(values, tau: float, p: float) -> float:
         raise DomainError(f"time exponent must lie in (1, inf], got {p}")
     return (tau * math.fsum(abs(x) ** p for x in seq)) ** (1.0 / p)
 
-
-def difference_quotient_seq(trajectory, kind: NormKind) -> list[float]:
-    """Spatial norms of the backward difference quotients
-    (u_n - u_{n-1}) / tau along a trajectory."""
-    states = trajectory.states
-    if len(states) < 2:
-        raise DomainError("need at least 2 states for difference quotients")
-    tau = trajectory.tau
-    grid = trajectory.grid
-    out = []
-    for prev, cur in zip(states[:-1], states[1:]):
-        quotient = (np.asarray(cur) - np.asarray(prev)) / tau
-        out.append(spatial_norm(quotient, kind, grid))
-    return out

@@ -172,16 +172,6 @@ class LinearOperator(ABC):
     grid: Grid
     autonomous: bool
 
-    @property
-    @abstractmethod
-    def backend(self) -> str: ...
-
-    @abstractmethod
-    def assemble(self, t: float):
-        """Concrete representation at time t: a sparse matrix for the
-        finite-difference backend, the (real) multiplier array for the
-        spectral backend."""
-
     @abstractmethod
     def apply(self, t: float, v) -> np.ndarray: ...
 
@@ -237,10 +227,6 @@ class SparseDiffusionOperator(LinearOperator):
         self.assemble(0.0)  # validate coefficients early
 
     @property
-    def backend(self) -> str:
-        return "sparse"
-
-    @property
     def factorization_count(self) -> int:
         return self._factor_count
 
@@ -262,7 +248,8 @@ class SparseDiffusionOperator(LinearOperator):
             raise CoercivityError("diffusion coefficient a must be positive")
         return a_vals + 1j * b_vals
 
-    def assemble(self, t: float):
+    def assemble(self, t: float) -> sp.csc_matrix:
+        """The matrix of A(t); the last one built is cached."""
         key = self._time_key(t)
         with self._lock:
             if self._matrix_key == key:
@@ -488,13 +475,6 @@ class SpectralDiagonalOperator(LinearOperator):
         if self.symbol.max() > 0.0:
             _coercivity_spot_check(lambda v: self.apply(0.0, v), grid, name)
 
-    @property
-    def backend(self) -> str:
-        return "spectral"
-
-    def assemble(self, t: float):
-        return self.symbol
-
     def apply(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
         return np.fft.ifftn(self.symbol * np.fft.fftn(state))
@@ -517,49 +497,27 @@ def _pad(v: np.ndarray, grid: Grid) -> np.ndarray:
     return padded
 
 
-def grid_gradient_padded(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Zero-padded state and its per-axis finite-difference gradients.
-
-    Dirichlet: the state is extended by the homogeneous boundary values;
-    gradients are centered at interior nodes and one-sided second order
-    at the boundary nodes.  Periodic: no padding, centered differences
-    with wraparound.  Returns (padded state, [gradient per axis] on the
-    padded index set).
-    """
+def _centered_difference(w: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """(w_{j+1} - w_{j-1}) / 2h along ``axis`` at the grid nodes, for w
+    on the padded index set of ``_pad`` (wraparound on periodic grids)."""
+    h = grid.h[axis]
     if grid.boundary == PERIODIC:
-        grads = []
-        for axis in range(grid.ndim):
-            h = grid.h[axis]
-            grads.append((np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h))
-        return v, grads
+        return (np.roll(w, -1, axis) - np.roll(w, 1, axis)) / (2.0 * h)
+    hi = [slice(1, -1)] * grid.ndim
+    lo = list(hi)
+    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+    return (w[tuple(hi)] - w[tuple(lo)]) / (2.0 * h)
+
+
+def grid_gradient(v: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Per-axis centered-difference gradients of a state at the grid
+    nodes, using the homogeneous boundary values on Dirichlet grids."""
     padded = _pad(v, grid)
-    grads = []
-    for axis in range(grid.ndim):
-        h = grid.h[axis]
-        grad = np.empty_like(padded)
-        inner = [slice(None)] * grid.ndim
-
-        def sl(expr):
-            picks = list(inner)
-            picks[axis] = expr
-            return tuple(picks)
-
-        grad[sl(slice(1, -1))] = (
-            padded[sl(slice(2, None))] - padded[sl(slice(None, -2))]
-        ) / (2.0 * h)
-        grad[sl(0)] = (
-            -3.0 * padded[sl(0)] + 4.0 * padded[sl(1)] - padded[sl(2)]
-        ) / (2.0 * h)
-        grad[sl(-1)] = (
-            3.0 * padded[sl(-1)] - 4.0 * padded[sl(-2)] + padded[sl(-3)]
-        ) / (2.0 * h)
-        grads.append(grad)
-    return padded, grads
+    return [_centered_difference(padded, grid, axis) for axis in range(grid.ndim)]
 
 
 def _padded_coords(grid: Grid):
-    """Read-only coordinates matching the padded index set of
-    grid_gradient_padded."""
+    """Read-only coordinates matching the padded index set of ``_pad``."""
     if grid.boundary == PERIODIC:
         return grid.coords()
     axes = [
@@ -577,16 +535,7 @@ def _centered_divergence(components, grid: Grid) -> np.ndarray:
     evaluated at the grid nodes by centered differences."""
     out = np.zeros(grid.shape, dtype=complex)
     for axis, comp in enumerate(components):
-        h = grid.h[axis]
-        if grid.boundary == PERIODIC:
-            out += (np.roll(comp, -1, axis) - np.roll(comp, 1, axis)) / (2.0 * h)
-        else:
-            take = [slice(1, -1)] * grid.ndim
-            hi = list(take)
-            hi[axis] = slice(2, None)
-            lo = list(take)
-            lo[axis] = slice(None, -2)
-            out += (comp[tuple(hi)] - comp[tuple(lo)]) / (2.0 * h)
+        out += _centered_difference(comp, grid, axis)
     return out
 
 
@@ -617,8 +566,8 @@ class DivergenceFormTerm(NonlinearTerm):
 
 
 class GradientFormTerm(NonlinearTerm):
-    """B(t, v) = f(v, grad v, x, t), grad v by the differences of
-    grid_gradient_padded at the nodes (a tuple of components in 2d)."""
+    """B(t, v) = f(v, grad v, x, t), grad v by ``grid_gradient`` (a
+    tuple of components in 2d)."""
 
     def __init__(self, grid: Grid, f):
         self.grid = grid
@@ -627,10 +576,7 @@ class GradientFormTerm(NonlinearTerm):
 
     def evaluate(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
-        _, grads = grid_gradient_padded(state, self.grid)
-        if self.grid.boundary != PERIODIC:
-            take = (slice(1, -1),) * self.grid.ndim
-            grads = [g[take] for g in grads]
+        grads = grid_gradient(state, self.grid)
         gradient = grads[0] if self.grid.ndim == 1 else tuple(grads)
         return np.asarray(self.f(state, gradient, self._coords, t), dtype=complex)
 
@@ -764,19 +710,3 @@ def assemble_example4(grid: Grid):
     k2 = sum(xi**2 for xi in freqs)
     op = SpectralDiagonalOperator(grid, k2**2, name="biharmonic")
     return op, _example_term(grid, "4")
-
-
-def hermitian_parts(op: LinearOperator, t: float = 0.0):
-    """Hermitian and anti-Hermitian parts of the assembled operator.
-
-    Sparse backend: returns (A_s, A_a) as sparse matrices with
-    A = A_s + A_a exactly.  Spectral backend: the symbol is real (the
-    constructor rejects complex ones), hence self-adjoint, so the parts
-    are (diag(symbol), 0), both in the Fourier-diagonal representation.
-    """
-    if op.backend == "sparse":
-        matrix = op.assemble(t).tocsc()
-        sym = 0.5 * (matrix + matrix.conj().T)
-        return sym, (matrix - sym).tocsc()
-    flat = op.assemble(t).ravel()
-    return sp.diags(flat).tocsc(), sp.csc_matrix((flat.size, flat.size))

@@ -42,8 +42,6 @@ def float_token(x: float):
     return float(x)
 
 
-
-
 def to_jsonable(obj):
     """Recursively convert reports, arrays and numbers to JSON types."""
     if obj is None or isinstance(obj, (bool, str, int)):

@@ -143,7 +143,10 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     if cached is not None and cached[0] == key:
         return cached[1]
     herm = 0.5 * (M + M.conj().T)
-    if np.linalg.eigvalsh(herm).min() <= 0.0:
+    eigs = np.linalg.eigvalsh(herm)
+    # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
+    # may be a zero, and a zero makes the constant meaningless
+    if eigs[0] <= M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
         raise CoercivityError("Hermitian part is not positive definite")
     theta = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
     phase = np.exp(-1j * theta)

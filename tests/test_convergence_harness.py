@@ -9,7 +9,7 @@ import pytest
 from imexbdf import convergence_harness as harness
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import DomainError, FitError
-from imexbdf.norms import LINF
+from imexbdf.norms import L2, spatial_norm
 from imexbdf.operators import (
     PointwiseTerm,
     SparseDiffusionOperator,
@@ -147,9 +147,27 @@ def test_consistency_result_fields():
     prob = spectral_decay_problem(16)
     result = harness.consistency_errors(prob, bdf_scheme(2), 0.1, 6)
     assert result.scheme_k == 2
-    assert len(result.defects) == 5  # n = 2..6
-    assert len(result.norms) == 5
+    assert len(result.norms) == 5  # n = 2..6
     assert result.max_norm == max(result.norms)
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_consistency_matches_termwise_recursion(k):
+    # reference: the recursion's sums written term by term; the
+    # contraction sums in another order, so allow a few roundings of
+    # the largest term, (sum |delta_i| / tau) |u|
+    prob = diffusion_problem(24)
+    scheme, tau, N = bdf_scheme(k), 0.05, 12
+    result = harness.consistency_errors(prob, scheme, tau, N)
+    u = [prob.exact(n * tau) for n in range(N + 1)]
+    b = [prob.nonlinear.evaluate(n * tau, v) for n, v in enumerate(u)]
+    for n, norm in zip(range(k, N + 1), result.norms):
+        d = -prob.exact_dt(n * tau) + b[n]
+        for i in range(k + 1):
+            d = d + scheme.delta_f[i] / tau * u[n - i]
+        for i in range(k):
+            d = d - scheme.gamma_f[i] * b[n - i - 1]
+        scale = np.abs(scheme.delta_f).sum() / tau * np.abs(u[n]).max()
+        assert norm == pytest.approx(np.abs(d).max(), abs=64 * np.finfo(float).eps * scale)
 
 def test_consistency_validates_inputs():
     prob = spectral_decay_problem(16)
@@ -246,6 +264,23 @@ def test_convergence_study_row_quantities():
         assert row.max_errors["linf"] > 0.0
         assert row.time_l2_errors["l2"] > 0.0
         assert row.dq_time_l2["linf"] > 0.0
+
+def test_dq_time_l2_matches_direct_quotients():
+    # dq_time_l2 is (tau sum_n ||(e_n - e_{n-1}) / tau||^2)^(1/2) over
+    # the errors e_n of the trajectory
+    prob = diffusion_problem(32)
+    scheme, final_time = bdf_scheme(2), 0.3
+    report = harness.convergence_study(prob, scheme, [0.05, 0.025, 0.0125], final_time, norms=("l2",))
+    for row in report.rows:
+        N = round(final_time / row.tau)
+        traj = prob.solve(scheme, row.tau, N)
+        errors = [u - prob.exact(n * row.tau) for n, u in enumerate(traj.states)]
+        quotients = [
+            spatial_norm((errors[n] - errors[n - 1]) / row.tau, L2, prob.grid)
+            for n in range(1, N + 1)
+        ]
+        direct = math.sqrt(row.tau * math.fsum(q * q for q in quotients))
+        assert row.dq_time_l2["l2"] == pytest.approx(direct, rel=1e-12)
 
 def test_exact_injection_polynomial_mode():
     # polynomial-in-t single-mode solution is reproduced to 1e-10

@@ -27,13 +27,6 @@ class DiagOp:
         self.autonomous = True
         self.factorization_count = 0
 
-    @property
-    def backend(self):
-        return "diagonal"
-
-    def assemble(self, t):
-        return np.diag(self.values.ravel())
-
     def apply(self, t, v):
         return self.values * np.asarray(v, dtype=complex)
 

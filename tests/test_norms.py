@@ -1,7 +1,6 @@
 """Norm token grammar and quadrature tests."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,41 +152,3 @@ def test_time_norm_rejects_empty_and_bad_input():
         norms.lp_time_norm([np.nan], 0.1, 2.0)
     with pytest.raises(DomainError):
         norms.lp_time_norm([1.0], 0.1, 1.0)
-
-
-# ------------------------------------------- difference quotients
-
-
-def _fake_trajectory(states, tau, grid):
-    return SimpleNamespace(states=states, tau=tau, grid=grid)
-
-def test_difference_quotients_constant_trajectory():
-    g = periodic_grid((0.0, 1.0), 8)
-    traj = _fake_trajectory([np.ones(8)] * 4, 0.1, g)
-    assert norms.difference_quotient_seq(traj, norms.LINF) == [0.0, 0.0, 0.0]
-
-def test_difference_quotients_linear_growth():
-    g = periodic_grid((0.0, 1.0), 8)
-    w = np.arange(8.0)
-    tau = 0.2
-    states = [n * tau * w for n in range(5)]
-    traj = _fake_trajectory(states, tau, g)
-    vals = norms.difference_quotient_seq(traj, norms.LINF)
-    expect = norms.spatial_norm(w, norms.LINF, g)
-    assert vals == pytest.approx([expect] * 4, rel=1e-12)
-
-def test_difference_quotients_match_direct_formula():
-    g = periodic_grid((0.0, 1.0), 12)
-    rng = np.random.default_rng(8)
-    states = [rng.standard_normal(12) for _ in range(3)]
-    tau = 0.3
-    traj = _fake_trajectory(states, tau, g)
-    vals = norms.difference_quotient_seq(traj, norms.L2)
-    for n in (1, 2):
-        direct = norms.spatial_norm((states[n] - states[n - 1]) / tau, norms.L2, g)
-        assert vals[n - 1] == pytest.approx(direct, rel=1e-14)
-
-def test_difference_quotients_need_two_states():
-    g = periodic_grid((0.0, 1.0), 8)
-    with pytest.raises(DomainError):
-        norms.difference_quotient_seq(_fake_trajectory([np.ones(8)], 0.1, g), norms.L2)

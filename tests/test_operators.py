@@ -512,7 +512,7 @@ def test_divergence_form_runs_no_gradient_code(monkeypatch):
     def no_gradients(*args):
         raise AssertionError("DivergenceFormTerm computed gradients")
 
-    monkeypatch.setattr(ops, "grid_gradient_padded", no_gradients)
+    monkeypatch.setattr(ops, "grid_gradient", no_gradients)
     for g in (ops.dirichlet_grid((0.0, 1.0), 12), ops.periodic_grid((0.0, 1.0), 12)):
         term = ops.DivergenceFormTerm(g, g=lambda v, x_, t: v**2)
         assert np.all(np.isfinite(term.evaluate(0.0, np.linspace(0.1, 0.9, 12))))
@@ -577,30 +577,30 @@ def test_scaled_sum_rejects_empty():
 
 
 def test_hermitian_parts_reassemble_exactly():
+    # -div((a + ib) grad) = A_a + i A_b with A_a, A_b real symmetric: the
+    # Hermitian part is the b = 0 operator, the rest is anti-Hermitian
     g = ops.dirichlet_grid((0.0, 1.0), 20)
-    op = ops.SparseDiffusionOperator(
-        g, lambda x, t: 1.0 + 0.3 * x, lambda x, t: 0.5 - 0.2 * x
-    )
-    sym, skew = ops.hermitian_parts(op, 0.0)
-    total = (sym + skew).toarray()
-    np.testing.assert_allclose(total, op.assemble(0.0).toarray(), atol=1e-15)
-    s = sym.toarray()
-    k = skew.toarray()
-    np.testing.assert_allclose(s, s.conj().T, atol=1e-15)
-    np.testing.assert_allclose(k, -k.conj().T, atol=1e-15)
+    a_fn = lambda x, t: 1.0 + 0.3 * x
+    A = ops.SparseDiffusionOperator(g, a_fn, lambda x, t: 0.5 - 0.2 * x).assemble(0.0).toarray()
+    A_real = ops.SparseDiffusionOperator(g, a_fn, 0.0).assemble(0.0).toarray()
+    np.testing.assert_allclose(0.5 * (A + A.conj().T), A_real, rtol=1e-15, atol=0.0)
+    skew = A - A_real
+    np.testing.assert_allclose(skew, -skew.conj().T, atol=1e-15)
 
 def test_hermitian_part_positive_definite():
     g = ops.dirichlet_grid((0.0, 1.0), 20)
     op = ops.SparseDiffusionOperator(g, 1.0, 0.8)
-    sym, _ = ops.hermitian_parts(op, 0.0)
-    assert np.linalg.eigvalsh(sym.toarray()).min() > 0.0
+    A = op.assemble(0.0).toarray()
+    assert np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min() > 0.0
 
 def test_spectral_hermitian_parts_trivial():
+    # a real symbol makes the multiplier self-adjoint: the matrix of
+    # apply is Hermitian, with the symbol values as its eigenvalues
     g = ops.periodic_grid((0.0, 2.0 * np.pi), 16)
     op, _ = ops.assemble_example3(g)
-    sym, skew = ops.hermitian_parts(op, 0.0)
-    np.testing.assert_allclose(sym.diagonal(), op.symbol, atol=0.0)
-    assert skew.nnz == 0
+    M = np.column_stack([op.apply(0.0, e) for e in np.eye(16)])
+    np.testing.assert_allclose(M, M.conj().T, atol=1e-13)
+    np.testing.assert_allclose(np.linalg.eigvalsh(M), np.sort(op.symbol), atol=1e-12)
 
 
 # ----------------------------------------- cross-module sanity

@@ -16,6 +16,7 @@ from imexbdf import stability
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.convergence_harness import default_threshold_ratios
 from imexbdf.errors import CoercivityError, ComputationError, DomainError
+from imexbdf.operators import SparseDiffusionOperator, periodic_grid
 from imexbdf.stability import (
     angle_of_analyticity_check,
     a_alpha_angle,
@@ -172,6 +173,20 @@ def test_stability_constant_requires_coercivity():
         stability_constant(np.diag([1.0, -1.0]))
     with pytest.raises(CoercivityError):
         stability_constant(np.array([[1j]]))
+
+
+@pytest.mark.parametrize(
+    "n, c, b",
+    # with an exact-zero guard these gave nan, inf or a finite constant
+    [(8, 0.3, 0.0), (16, 0.5, 0.2), (20, 0.3, 0.5), (20, 0.5, 0.0), (20, 0.5, 0.5), (32, 0.1, 0.5)],
+)
+def test_stability_constant_rejects_singular_hermitian_part(n, c, b):
+    # periodic diffusion matrices have the constants in their kernel, so
+    # the Hermitian part is singular up to rounding
+    grid = periodic_grid((0.0, 1.0), n)
+    op = SparseDiffusionOperator(grid, lambda x, t: 1.0 + c * np.sin(2 * np.pi * x), b)
+    with pytest.raises(CoercivityError):
+        stability_constant(op.assemble(0.0).toarray())
 
 
 def test_stability_constant_rejects_bad_inputs():
