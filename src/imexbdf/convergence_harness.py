@@ -79,12 +79,14 @@ class ManufacturedProblem:
 @dataclass
 class ConsistencyResult:
     """Per-step defect norms of the exact solution in the k-step
-    recursion, n = k..N."""
+    recursion, n = k..N, and the floor eps (sum_i |delta_i| / tau) max |u|
+    (one rounding of the difference quotient) below which they are noise."""
 
     scheme_k: int
     tau: float
     norms: list[float]
     max_norm: float
+    roundoff_floor: float
 
 
 def consistency_errors(
@@ -124,11 +126,13 @@ def consistency_errors(
         if B is not None:
             d += b_star[n].ravel() - _newest_first(scheme.gamma_f, b_star[n - k : n])
         norms_seq.append(spatial_norm(d.reshape(grid.shape), kind, grid))
+    floor = np.finfo(float).eps * np.abs(scheme.delta_f).sum() / tau * np.abs(u_star).max()
     return ConsistencyResult(
         scheme_k=k,
         tau=tau,
         norms=norms_seq,
         max_norm=max(norms_seq),
+        roundoff_floor=float(floor),
     )
 
 

@@ -8,8 +8,9 @@ Two operator backends feed the time stepper through one interface:
 * spectral-diagonal operators (Fourier multipliers) on periodic grids,
   used for the half-Laplacian |xi| and the biharmonic |xi|^4.
 
-Shifted solves factor the 1-d stencil (tridiagonal, plus two corners
-when periodic) with LAPACK's banded LU and the 2-d stencil with SuperLU.
+The 1-d stencil is held as its bands (plus two corners when periodic),
+formed straight from the interface coefficients and factored with
+LAPACK's banded LU; the 2-d stencil is a CSC matrix, factored with SuperLU.
 
 Nonlinear terms B(t, v) are evaluated on grid states, one job per
 class: pointwise maps, div g(v), f(v, grad v), the spectral Laplacian
@@ -146,24 +147,23 @@ def _as_state(grid: Grid, v) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _coercivity_probes(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _coercivity_probes(shape: tuple[int, ...]) -> np.ndarray:
     rng = np.random.default_rng(12345)
-    probes = []
-    for _ in range(4):
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v.setflags(write=False)
-        probes.append(v)
-    return tuple(probes)
+    probes = np.array(
+        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
+    )
+    probes.setflags(write=False)
+    return probes
 
 
-def _coercivity_spot_check(apply_fn, grid: Grid, label: str) -> None:
-    # a handful of seeded random states, drawn once per grid shape;
-    # catches sign errors, not genuine indefiniteness in adversarial
-    # corners
-    for v in _coercivity_probes(grid.shape):
-        pairing = np.vdot(v, apply_fn(v))
-        if pairing.real <= 0.0:
-            raise CoercivityError(f"{label}: random state with nonpositive Re<Av,v>")
+def _coercivity_spot_check(product, grid: Grid, label: str) -> None:
+    # a handful of seeded random states, drawn once per grid shape, to
+    # which ``product`` applies the operator at once; catches sign
+    # errors, not genuine indefiniteness in adversarial corners
+    probes = _coercivity_probes(grid.shape)
+    images = np.reshape(product(probes), (len(probes), -1))
+    if np.any(np.vecdot(probes.reshape(len(probes), -1), images).real <= 0.0):
+        raise CoercivityError(f"{label}: random state with nonpositive Re<Av,v>")
 
 
 class LinearOperator(ABC):
@@ -188,18 +188,20 @@ class SparseDiffusionOperator(LinearOperator):
     """-div((a + ib) grad u) by conservative second-order differences.
 
     Coefficients are sampled at cell midpoints, which keeps the b == 0
-    Dirichlet matrix real symmetric positive definite.  The CSC pattern
-    and a constant real weight matrix W_i per axis are built once, so
-    the matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with
-    c_i(t) the interface coefficients along axis i.  Shifted solves go
+    Dirichlet matrix real symmetric positive definite.  On 1-d grids
+    A(t) is its three bands (and the periodic corners) formed straight
+    from the interface coefficients (``_bands``); ``assemble`` makes a
+    CSC matrix of them only when called.  In 2-d the CSC pattern and a
+    constant real weight matrix W_i per axis are built once, so the
+    matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with c_i(t)
+    the interface coefficients along axis i.  Shifted solves go
     through a cached direct factorization: on 1-d grids a partially
     pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK zgttrf/zgttrs)
-    of the three bands gathered from the matrix data, with the two
-    periodic corners added by Sherman-Morrison; in 2-d a sparse LU
-    (SuperLU) with a symmetric fill-reducing ordering (the stencils
-    have a symmetric pattern).  The factor is reused across
-    steps when the operator is autonomous and the step size is fixed,
-    and rebuilt when sigma changes.  A new time alone rebuilds it on
+    of the bands, with the two periodic corners added by
+    Sherman-Morrison; in 2-d a sparse LU (SuperLU) with a symmetric
+    fill-reducing ordering (the stencils have a symmetric pattern).
+    The factor is reused across steps when the operator is autonomous
+    and the step size is fixed, and rebuilt when sigma changes.  A new time alone rebuilds it on
     1-d grids; in 2-d, A(t) - A(t_old) = O(t - t_old) makes the factor
     at t_old a near-exact preconditioner, so the solve refines on it
     (``_refine``) to the backward error of a fresh factor and
@@ -214,17 +216,15 @@ class SparseDiffusionOperator(LinearOperator):
         self._b = (lambda *args: np.broadcast_to(float(b), np.shape(args[0])).copy()) if isinstance(b, Number) else b
         self.autonomous = scalars if autonomous is None else bool(autonomous)
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
-        self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
-        if grid.ndim == 1:
-            self._band_slots = _band_slots(self._indptr, self._indices)
+        if grid.ndim == 2:
+            self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
         self._lock = threading.Lock()
-        self._matrix_key = None
-        self._matrix = None
+        self._stencil_cache = (None, None)
         # (key, factor) in one tuple, so a lock-free read never pairs
         # one key with another factor
         self._factor_cache = (None, None)
         self._factor_count = 0
-        self.assemble(0.0)  # validate coefficients early
+        self._stencil(0.0)  # validate coefficients early
 
     @property
     def factorization_count(self) -> int:
@@ -249,23 +249,33 @@ class SparseDiffusionOperator(LinearOperator):
         return a_vals + 1j * b_vals
 
     def assemble(self, t: float) -> sp.csc_matrix:
-        """The matrix of A(t); the last one built is cached."""
+        """The matrix of A(t); on 1-d grids made from the bands on each call."""
+        stencil = self._stencil(t)
+        if self.grid.ndim == 2:
+            return stencil
+        sub, diag, sup, corners = stencil
+        offsets = [-1, 0, 1, diag.size - 1, 1 - diag.size][: 3 + corners.size]
+        return sp.diags([sub, diag, sup, *corners[:, None]], offsets, format="csc")
+
+    def _stencil(self, t: float):
+        """A(t) as ``_build`` makes it, spot-checked; the last one is cached."""
         key = self._time_key(t)
         with self._lock:
-            if self._matrix_key == key:
-                return self._matrix
-        matrix = self._build(t)
-        _coercivity_spot_check(
-            lambda v: (matrix @ v.ravel()).reshape(self.grid.shape),
-            self.grid,
-            "diffusion operator",
-        )
+            cached_key, stencil = self._stencil_cache
+        if cached_key == key:
+            return stencil
+        stencil = self._build(t)
+        product = (functools.partial(_band_product, stencil) if self.grid.ndim == 1
+                   else lambda v: (stencil @ np.ascontiguousarray(v.reshape(len(v), -1).T)).T)
+        _coercivity_spot_check(product, self.grid, "diffusion operator")
         with self._lock:
-            self._matrix_key = key
-            self._matrix = matrix
-        return matrix
+            self._stencil_cache = (key, stencil)
+        return stencil
 
-    def _build(self, t: float) -> sp.csc_matrix:
+    def _build(self, t: float):
+        """A(t): the bands (``_bands``) on 1-d grids, the CSC matrix in 2-d."""
+        if self.grid.ndim == 1:
+            return _bands(self._midpoint_coeffs(t, 0), self.grid.h[0], self.grid.boundary)
         parts = [
             weights @ self._midpoint_coeffs(t, axis).ravel() / h**2
             for axis, (weights, h) in enumerate(zip(self._weights, self.grid.h))
@@ -278,20 +288,20 @@ class SparseDiffusionOperator(LinearOperator):
 
     def apply(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
-        matrix = self.assemble(t)
-        return (matrix @ state.ravel()).reshape(self.grid.shape)
+        if self.grid.ndim == 1:
+            return _band_product(self._stencil(t), state)
+        return (self.assemble(t) @ state.ravel()).reshape(self.grid.shape)
 
     def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
         rhs = _as_state(self.grid, r).ravel()
         key = (self._time_key(t), float(sigma))
         factor_key, factor = self._factor_cache
         if factor_key != key:
-            data = self.assemble(t).data
             if self.grid.ndim == 1:
-                sub, sup, corners = (data[slots] for slots in self._band_slots)
-                factor = _TridiagonalLU(sub, data[self._diag_slots] + sigma, sup, corners)
+                sub, diag, sup, corners = self._stencil(t)
+                factor = _TridiagonalLU(sub, diag + sigma, sup, corners)
             else:
-                data = data.copy()
+                data = self.assemble(t).data.copy()
                 data[self._diag_slots] += sigma
                 matrix = self._csc(data)
                 if factor_key is not None and factor_key[1] == key[1]:
@@ -303,6 +313,28 @@ class SparseDiffusionOperator(LinearOperator):
                 self._factor_cache = (key, factor)
                 self._factor_count += 1
         return factor.solve(rhs).reshape(self.grid.shape)
+
+
+def _bands(c: np.ndarray, h: float, boundary: str) -> tuple[np.ndarray, ...]:
+    """Sub-, main and super-diagonal of the 1-d stencil for interface
+    coefficients c (``_midpoint_coeffs``) and the periodic corners
+    M[0, n-1], M[n-1, 0] (none on a Dirichlet grid)."""
+    link = -c / h**2
+    if boundary == DIRICHLET:
+        return link[1:-1], (c[:-1] + c[1:]) / h**2, link[1:-1], link[:0]
+    return link[1:], (c + np.roll(c, -1)) / h**2, link[1:], link[[0, 0]]
+
+
+def _band_product(bands, v: np.ndarray) -> np.ndarray:
+    """The banded matrix of ``_bands`` applied along the last axis of v."""
+    sub, diag, sup, corners = bands
+    out = diag * v
+    out[..., 1:] += sub * v[..., :-1]
+    out[..., :-1] += sup * v[..., 1:]
+    if corners.size:
+        out[..., 0] += corners[0] * v[..., -1]
+        out[..., -1] += corners[1] * v[..., 0]
+    return out
 
 
 class _TridiagonalLU:
@@ -440,16 +472,6 @@ def _stencil_pattern(grid: Grid):
     return indptr, indices, diag_slots, weights
 
 
-def _band_slots(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Data slots of a 1-d stencil pattern off its diagonal: the sub-
-    and super-diagonal, each in row order, and the corners M[0, n-1],
-    M[n-1, 0] of a periodic grid (none on a Dirichlet grid)."""
-    n = indptr.size - 1
-    offset = indices - np.repeat(np.arange(n), np.diff(indptr))  # row - column
-    sub, sup, alpha, beta = (np.flatnonzero(offset == d) for d in (1, -1, 1 - n, n - 1))
-    return sub, sup, np.concatenate([alpha, beta])
-
-
 class SpectralDiagonalOperator(LinearOperator):
     """Fourier multiplier operator on a periodic grid.
 
@@ -473,7 +495,9 @@ class SpectralDiagonalOperator(LinearOperator):
         if self.symbol.min() < 0.0:
             raise CoercivityError(f"{name}: spectral symbol must be nonnegative")
         if self.symbol.max() > 0.0:
-            _coercivity_spot_check(lambda v: self.apply(0.0, v), grid, name)
+            axes = tuple(range(1, grid.ndim + 1))
+            product = lambda v: np.fft.ifftn(self.symbol * np.fft.fftn(v, axes=axes), axes=axes)
+            _coercivity_spot_check(product, grid, name)
 
     def apply(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)

@@ -183,6 +183,7 @@ def consistency_payload(result: ConsistencyResult) -> dict:
         "tau": result.tau,
         "defect_norms": [float_token(v) for v in result.norms],
         "max_defect_norm": float_token(result.max_norm),
+        "roundoff_floor": float_token(result.roundoff_floor),
     }
 
 

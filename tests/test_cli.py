@@ -292,6 +292,7 @@ class TestConsistency:
         assert payload["k"] == 3
         assert payload["norm"] == "linf"
         assert 0.0 < payload["max_defect_norm"] < 1.0
+        assert 0.0 < payload["roundoff_floor"] < payload["max_defect_norm"]
 
 
 class TestConverge:

@@ -15,6 +15,7 @@ from imexbdf.operators import (
     SparseDiffusionOperator,
     assemble_example1,
     assemble_example3,
+    assemble_example4,
     dirichlet_grid,
     periodic_grid,
 )
@@ -80,7 +81,8 @@ def test_solve_reaches_final_time():
 
 def test_time_dependent_solve_builds_matrix_once_per_node():
     # the explicit-mode forcing applies A(t_n) right after the solve at
-    # t_n has assembled it, so the single-slot matrix cache hits
+    # t_n has built it, so the single-slot cache hits; on this 1-d grid
+    # ``_build`` forms the bands and no CSC matrix is made
     grid = dirichlet_grid((0.0, 1.0), 32)
     a_fn = lambda x, t: 1.0 + 0.3 * np.sin(x) * np.cos(t)
     op = SparseDiffusionOperator(grid, a_fn, 0.2)
@@ -95,11 +97,14 @@ def test_time_dependent_solve_builds_matrix_once_per_node():
     builds = []
     build = op._build
     op._build = lambda t: builds.append(t) or build(t)
+    assembled = []
+    op.assemble = assembled.append
     N = 12
     traj = prob.solve(bdf_scheme(3), 0.05, N)
     assert traj.blow_up is None
-    # nodes 1..N; node 0 reuses the matrix the constructor built
+    # nodes 1..N; node 0 reuses the bands the constructor built
     assert len(builds) == N
+    assert assembled == []
 
 
 # ---------------------------------------------------- consistency
@@ -168,6 +173,31 @@ def test_consistency_matches_termwise_recursion(k):
             d = d - scheme.gamma_f[i] * b[n - i - 1]
         scale = np.abs(scheme.delta_f).sum() / tau * np.abs(u[n]).max()
         assert norm == pytest.approx(np.abs(d).max(), abs=64 * np.finfo(float).eps * scale)
+
+def test_consistency_roundoff_floor_separates_noise_from_defect():
+    # k = 5 at tau = 0.001: the truncation defect is ~tau^5, far below
+    # the rounding of (1/tau) sum_i delta_i u(t_{n-i}), so every norm
+    # is round-off and sits under the floor; at tau = 0.05 the defect
+    # is real and lies orders of magnitude above it
+    grid = periodic_grid((0.0, 2.0 * np.pi), 64)
+    op, term = assemble_example4(grid)
+    profile = np.cos(grid.axis_nodes(0))
+    prob = harness.ManufacturedProblem(
+        grid, op, term, lambda t: math.exp(-t) * profile, lambda t: -math.exp(-t) * profile
+    )
+    result = harness.consistency_errors(prob, bdf_scheme(5), 0.001, 20)
+    scale = np.abs(bdf_scheme(5).delta_f).sum() / 0.001
+    assert result.roundoff_floor == pytest.approx(np.finfo(float).eps * scale, rel=1e-12)
+    assert result.max_norm < result.roundoff_floor
+
+    grid = dirichlet_grid((0.0, 1.0), 64)
+    op, term = assemble_example1(grid, lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t), 0.3)
+    profile = np.sin(np.pi * grid.axis_nodes(0))
+    prob = harness.ManufacturedProblem(
+        grid, op, term, lambda t: math.exp(-t) * profile, lambda t: -math.exp(-t) * profile
+    )
+    result = harness.consistency_errors(prob, bdf_scheme(5), 0.05, 20)
+    assert min(result.norms) > 1e6 * result.roundoff_floor
 
 def test_consistency_validates_inputs():
     prob = spectral_decay_problem(16)

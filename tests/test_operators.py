@@ -357,6 +357,48 @@ def test_assembly_sign_error_raises_coercivity_error():
     with pytest.raises(CoercivityError):
         op.assemble(0.7)
 
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_1d_band_path_matches_assembled_matrix(make_grid):
+    g = make_grid((0.0, 1.0), 40)
+    op = ops.SparseDiffusionOperator(
+        g, lambda x, t: _coeff_1d(x, t)[0], lambda x, t: _coeff_1d(x, t)[1]
+    )
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    eps = np.finfo(float).eps
+    for t in (0.3, 1.7):
+        A = op.assemble(t)
+        # the band product rounds like the CSC matvec up to the complex
+        # multiply (numpy's may fuse) and the order of a periodic row's sum
+        bound = 4 * eps * (abs(A) @ np.abs(v))
+        assert np.all(np.abs(op.apply(t, v) - A @ v) <= bound)
+        # the solve factors exactly the bands of the assembled matrix
+        sigma = 4.0 / t
+        corners = [A[0, 39], A[39, 0]] if make_grid is ops.periodic_grid else []
+        lu = ops._TridiagonalLU(
+            A.diagonal(-1), A.diagonal() + sigma, A.diagonal(1), np.array(corners, dtype=complex)
+        )
+        np.testing.assert_array_equal(op.shifted_solve(t, sigma, v), lu.solve(v))
+
+@pytest.mark.parametrize("call", ["apply", "shifted_solve"])
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_1d_band_sign_error_raises_coercivity_error(make_grid, call):
+    # as in 2-d: only the spot check on the built bands sees the sign
+    g = make_grid((0.0, 1.0), 12)
+    op = ops.SparseDiffusionOperator(g, lambda x, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
+    op.apply(0.5, np.ones(12))
+    build = op._build
+    op._build = lambda t: tuple(-band for band in build(t))
+    with pytest.raises(CoercivityError):
+        if call == "apply":
+            op.apply(0.7, np.ones(12))
+        else:
+            op.shifted_solve(0.7, 1.0, np.ones(12))
+
 def test_coercivity_probes_drawn_once_per_shape():
     rng = np.random.default_rng(12345)
     probes = ops._coercivity_probes((5, 3))

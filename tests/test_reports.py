@@ -126,7 +126,7 @@ class TestStabilitySerializers:
 class TestHarnessSerializers:
     def test_consistency_rows_number_from_k(self):
         result = ConsistencyResult(
-            scheme_k=3, tau=0.5, norms=[0.1, 0.2], max_norm=0.2
+            scheme_k=3, tau=0.5, norms=[0.1, 0.2], max_norm=0.2, roundoff_floor=1e-15
         )
         header, rows = reports.consistency_rows(result)
         assert header == ["n", "t", "defect_norm"]
