@@ -6,9 +6,14 @@ Three views of the same stability question live here:
   delta(e^{i theta}) on the unit circle,
 * the threshold 1/cos(alpha) against which an operator's
   non-self-adjointness constant is compared,
-* the constant itself, lambda = sup |<Av,v>| / Re <Av,v>, computed from
-  the boundary of the numerical range, plus a von Neumann root test for
-  the scalar rotated problem u' + rho e^{i phi} u = 0.
+* the constant itself, lambda = sup |<Av,v>| / Re <Av,v>, in closed form
+  from one Hermitian-definite generalized eigenproblem per matrix, plus a
+  von Neumann root test for the scalar rotated problem
+  u' + rho e^{i phi} u = 0.
+
+``numerical_range_boundary`` samples the boundary of the numerical range
+(one batched ``eigh``, uncached); neither the constant nor the angle
+check uses it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .bdf_coeffs import BdfScheme
@@ -113,15 +119,41 @@ def stability_report(scheme: BdfScheme, locus_count: int = 256) -> StabilityRepo
 
 def _as_square_matrix(A) -> np.ndarray:
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DomainError(f"expected a nonempty square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError("matrix has a non-finite entry")
     return M
 
 
-# one slot holding (key, boundary) of the last matrix; the pair is
-# replaced as one tuple, so a concurrent reader sees the old pair or the
-# new one, never a key with another matrix's boundary
-_boundary_cache = [None]
+def _coercive_hermitian_part(M: np.ndarray) -> np.ndarray:
+    """H = (M + M*)/2, checked to be positive definite."""
+    herm = 0.5 * (M + M.conj().T)
+    eigs = np.linalg.eigvalsh(herm)
+    # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
+    # may be a zero, and a zero makes the constant meaningless
+    if eigs[0] <= M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
+        raise CoercivityError("Hermitian part is not positive definite")
+    return herm
+
+
+def _max_skew_ratio(A) -> float:
+    """rho = sup |Im z| / Re z over the numerical range of a coercive matrix.
+
+    With H = (A + A*)/2 and K = (A - A*)/(2i), z = v*Av has Re z = v*Hv and
+    Im z = v*Kv, so Im z / Re z ranges exactly over the eigenvalues mu of
+    the Hermitian-definite pencil K x = mu H x, and rho = max |mu|.
+    """
+    M = _as_square_matrix(A)
+    herm = _coercive_hermitian_part(M)
+    skew = -0.5j * (M - M.conj().T)
+    try:
+        mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        # the Cholesky factor of H failed: H is positive definite only
+        # up to rounding
+        raise CoercivityError("Hermitian part is not positive definite") from exc
+    return float(np.abs(mu).max())
 
 
 def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
@@ -131,23 +163,13 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     part of e^{-i theta} A is a support point of the (convex) numerical
     range; its Rayleigh quotient under A is a boundary point.  Returns
     the boundary values at the n_angles (even) equispaced directions, as
-    a read-only array.  The last matrix's boundary is cached, so
-    ``stability_constant`` followed by ``angle_of_analyticity_check`` on
-    one matrix computes it once.
+    a read-only array.  Nothing is cached: each call runs one batched
+    ``eigh`` of n_angles/2 Hermitian matrices.
     """
     M = _as_square_matrix(A)
     if n_angles < 360 or n_angles % 2:
         raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
-    key = (M.shape, n_angles, M.tobytes())
-    cached = _boundary_cache[0]
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    herm = 0.5 * (M + M.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
-    # may be a zero, and a zero makes the constant meaningless
-    if eigs[0] <= M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
-        raise CoercivityError("Hermitian part is not positive definite")
+    _coercive_hermitian_part(M)
     theta = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
     phase = np.exp(-1j * theta)
     # stacked Hermitian parts H(theta) of the rotated matrix; because
@@ -158,20 +180,20 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
     boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support)
     boundary.setflags(write=False)
-    _boundary_cache[0] = (key, boundary)
     return boundary
 
 
-def stability_constant(A, n_angles: int = 720) -> float:
+def stability_constant(A) -> float:
     """Non-self-adjointness constant lambda of a coercive matrix.
 
-    lambda = sup |z| / Re z over the numerical range, attained on its
-    boundary by convexity.  Equals 1 exactly when A is Hermitian
-    positive definite.
+    lambda = sup |z| / Re z over the numerical range
+    = sqrt(1 + rho^2) with rho = sup |Im z| / Re z, the largest modulus
+    of an eigenvalue of the pencil (A - A*)/(2i) x = mu (A + A*)/2 x.
+    The sup is attained at the extreme generalized eigenvector.  Equals 1
+    exactly when A is Hermitian positive definite.
     """
-    boundary = numerical_range_boundary(A, n_angles)
-    ratios = np.abs(boundary) / boundary.real
-    return float(ratios.max())
+    rho = _max_skew_ratio(A)
+    return math.sqrt(1.0 + rho * rho)
 
 
 @dataclass(frozen=True)
@@ -244,29 +266,27 @@ def von_neumann_sweep(
         raise DomainError("all rho values must be positive")
     if tau <= 0.0:
         raise DomainError("tau must be positive")
-    # delta_i multiplies zeta^{k-i}, so delta_f is already ordered
-    # highest power of zeta first for the root finder
+    # delta_i multiplies zeta^{k-i}; one companion matrix per rho, built
+    # as np.roots builds it: first row -delta_{1..k} / leading, ones on
+    # the subdiagonal
     base = scheme.delta_f.astype(complex)
-    direction = np.exp(1j * phi)
-    moduli = np.empty(rho.size)
-    flags = np.empty(rho.size, dtype=bool)
-    for j, r in enumerate(rho):
-        coeffs = base.copy()
-        coeffs[0] += tau * r * direction
-        try:
-            roots = np.roots(coeffs)
-        except np.linalg.LinAlgError as exc:
-            raise ComputationError(f"root finding failed at rho={r}") from exc
-        mods = np.abs(roots)
-        moduli[j] = mods.max() if mods.size else 0.0
-        ok = moduli[j] <= 1.0 + ROOT_TOL
-        if ok:
-            on_circle = roots[mods >= 1.0 - ROOT_TOL]
-            for p in range(len(on_circle)):
-                for q in range(p + 1, len(on_circle)):
-                    if abs(on_circle[p] - on_circle[q]) <= ROOT_SEPARATION:
-                        ok = False
-        flags[j] = ok
+    lead = base[0] + tau * rho * np.exp(1j * phi)
+    k = base.size - 1
+    companion = np.zeros((rho.size, k, k), dtype=complex)
+    companion[:, 0, :] = -base[1:] / lead[:, None]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"root finding failed for phi={phi}, tau={tau}") from exc
+    mods = np.abs(roots)
+    moduli = mods.max(axis=1)
+    # a root on the unit circle must be simple: no other such root
+    # within ROOT_SEPARATION of it
+    on_circle = mods >= 1.0 - ROOT_TOL
+    pairs = on_circle[:, :, None] & on_circle[:, None, :] & np.triu(np.ones((k, k), bool), 1)
+    close = np.abs(roots[:, :, None] - roots[:, None, :]) <= ROOT_SEPARATION
+    flags = (moduli <= 1.0 + ROOT_TOL) & ~(pairs & close).any(axis=(1, 2))
     return RootSweepResult(
         k=scheme.k,
         phi=float(phi),
@@ -277,18 +297,16 @@ def von_neumann_sweep(
     )
 
 
-def angle_of_analyticity_check(
-    A, lam: float, n_angles: int = 720
-) -> tuple[bool, float]:
+def angle_of_analyticity_check(A, lam: float) -> tuple[bool, float]:
     """Sector-angle lower bound check for a coercive matrix.
 
-    Measures theta_A = inf over numerical-range boundary points z of
-    (pi/2 - |arg z|) and verifies theta_A >= arcsin(1/lam) - 1e-6
+    Measures theta_A = inf over the numerical range of (pi/2 - |arg z|)
+    = pi/2 - atan(rho), with rho = sup |Im z| / Re z as in
+    ``stability_constant``, and verifies theta_A >= arcsin(1/lam) - 1e-6
     (radians).  Returns (holds, measured angle in degrees).
     """
     if lam < 1.0:
         raise DomainError(f"lambda must be >= 1, got {lam}")
-    boundary = numerical_range_boundary(A, n_angles)
-    measured = float((0.5 * math.pi - np.abs(np.angle(boundary))).min())
+    measured = 0.5 * math.pi - math.atan(_max_skew_ratio(A))
     bound = math.asin(min(1.0, 1.0 / lam))
     return measured >= bound - 1e-6, math.degrees(measured)

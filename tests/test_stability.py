@@ -7,9 +7,11 @@ than double precision resolves.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from imexbdf import stability
@@ -57,6 +59,14 @@ def rotated_spd(rng, n, phi_deg):
     B = rng.standard_normal((n, n))
     spd = B @ B.T + n * np.eye(n)
     return np.exp(1j * math.radians(phi_deg)) * spd, spd
+
+
+def random_nonnormal(rng, n):
+    """Scaled complex Gaussian matrix, shifted so that the smallest
+    eigenvalue of its Hermitian part is 1."""
+    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2 * n)
+    w = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    return G + (1.0 - w[0]) * np.eye(n)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -158,7 +168,7 @@ def test_stability_constant_diagonal_example():
 
 
 def test_stability_constant_brute_force_cross_check():
-    """Random unit vectors never beat the boundary-sampled value."""
+    """Random unit vectors never beat the constant."""
     rng = np.random.default_rng(11)
     A = np.diag([1.0, 1.0 + 1.0j])
     lam = stability_constant(A)
@@ -193,9 +203,57 @@ def test_stability_constant_rejects_bad_inputs():
     with pytest.raises(DomainError):
         stability_constant(np.ones((2, 3)))
     with pytest.raises(DomainError):
-        stability_constant(np.eye(3), n_angles=100)
+        stability_constant(np.zeros((0, 0)))
     with pytest.raises(DomainError):
-        stability_constant(np.eye(3), n_angles=721)
+        numerical_range_boundary(np.eye(3), n_angles=100)
+    with pytest.raises(DomainError):
+        numerical_range_boundary(np.eye(3), n_angles=721)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_non_finite_matrices_rejected(n, bad):
+    A = np.eye(n, dtype=complex)
+    A[0, -1] = bad
+    with pytest.raises(DomainError):
+        stability_constant(A)
+    with pytest.raises(DomainError):
+        angle_of_analyticity_check(A, 2.0)
+    with pytest.raises(DomainError):
+        numerical_range_boundary(A)
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+def test_stability_constant_attained_by_extreme_eigenvector(n):
+    """The Rayleigh quotient z of the generalized eigenvector of the
+    extreme mu reaches |z| / Re z = lambda, so the constant is the sup
+    itself, not a bound."""
+    A = random_nonnormal(np.random.default_rng(n), n)
+    herm = 0.5 * (A + A.conj().T)
+    skew = -0.5j * (A - A.conj().T)
+    mu, vecs = scipy.linalg.eigh(skew, herm)
+    v = vecs[:, np.argmax(np.abs(mu))]
+    z = (v.conj() @ A @ v) / (v.conj() @ v)
+    assert abs(z) / z.real == pytest.approx(stability_constant(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+def test_stability_constant_bounds_sampled_boundary(n):
+    A = random_nonnormal(np.random.default_rng(n), n)
+    lam = stability_constant(A)
+    boundary = numerical_range_boundary(A, 720)
+    ratios = np.abs(boundary) / boundary.real
+    assert (lam >= ratios - 1e-12).all()
+    assert lam - ratios.max() <= 1e-4
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+def test_angle_check_measures_arcsin_of_inverse_constant(n):
+    A = random_nonnormal(np.random.default_rng(n), n)
+    lam = stability_constant(A)
+    holds, measured = angle_of_analyticity_check(A, lam)
+    assert holds
+    assert measured == pytest.approx(math.degrees(math.asin(1.0 / lam)), abs=1e-10)
 
 
 def test_coefficient_lambda_basics():
@@ -256,6 +314,48 @@ def test_sweep_validates_inputs():
         von_neumann_sweep(scheme, 0.0, [1.0], tau=0.0)
 
 
+def per_rho_roots_sweep(scheme, phi, rho, tau):
+    """Reference sweep: one np.roots call and a pairwise simple-root
+    test per rho."""
+    moduli, flags = [], []
+    for r in rho:
+        coeffs = scheme.delta_f.astype(complex)
+        coeffs[0] += tau * r * np.exp(1j * phi)
+        roots = np.roots(coeffs)
+        mods = np.abs(roots)
+        ok = mods.max() <= 1.0 + stability.ROOT_TOL
+        on_circle = roots[mods >= 1.0 - stability.ROOT_TOL]
+        for p in range(len(on_circle)):
+            for q in range(p + 1, len(on_circle)):
+                ok = ok and abs(on_circle[p] - on_circle[q]) > stability.ROOT_SEPARATION
+        moduli.append(mods.max())
+        flags.append(ok)
+    return np.array(moduli), np.array(flags)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("tau", [0.01, 1.0, 7.0])
+def test_sweep_matches_per_rho_np_roots(k, tau):
+    scheme = bdf_scheme(k)
+    rho = np.geomspace(1e-3, 1e3, 41)
+    for phi_deg in (0.0, 45.0, ORACLE_ALPHA_DEG[k] + 1.0, 90.0, 150.0):
+        result = von_neumann_sweep(scheme, math.radians(phi_deg), rho, tau=tau)
+        moduli, flags = per_rho_roots_sweep(scheme, math.radians(phi_deg), rho, tau)
+        assert np.array_equal(result.max_root_moduli, moduli)
+        assert np.array_equal(result.stable_flags, flags)
+
+
+def test_sweep_flags_double_root_on_unit_circle():
+    # (zeta - 1)^2 + eps zeta^2 has two roots of modulus 1 + O(eps) a
+    # distance 2 sqrt(eps) apart: inside the disc, but not simple
+    scheme = SimpleNamespace(k=2, delta_f=np.array([1.0, -2.0, 1.0]))
+    rho = np.array([1e-16, 1.0])
+    result = von_neumann_sweep(scheme, 0.0, rho)
+    assert (result.max_root_moduli <= 1.0 + stability.ROOT_TOL).all()
+    assert result.stable_flags.tolist() == [False, True]
+    assert result.stable_flags.tolist() == per_rho_roots_sweep(scheme, 0.0, rho, 1.0)[1].tolist()
+
+
 def test_sweep_result_fields():
     rho = np.logspace(-1, 1, 5)
     result = von_neumann_sweep(bdf_scheme(4), 0.3, rho, tau=0.5)
@@ -292,24 +392,15 @@ def test_angle_check_diagonal_inequality():
     assert measured >= math.degrees(math.asin(1.0 / lam)) - 1e-6
 
 
-def test_boundary_computed_once_per_matrix(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def test_constant_and_angle_check_sample_no_boundary(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerical-range boundary sampled")
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    rng = np.random.default_rng(31)
-    spd = [g @ g.T + 6 * np.eye(6) for g in rng.standard_normal((2, 6, 6))]
-    A, B = (np.exp(0.7j) * m for m in spd)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(stability, "numerical_range_boundary", forbidden)
+    A, _ = rotated_spd(np.random.default_rng(31), 6, 40.0)
     lam = stability_constant(A)
     assert angle_of_analyticity_check(A, lam)[0]
-    assert len(calls) == 1
-    stability_constant(B)
-    stability_constant(A)
-    assert len(calls) == 3
 
 
 def test_boundary_is_read_only():
