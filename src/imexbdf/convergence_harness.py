@@ -121,10 +121,10 @@ def consistency_errors(
         b_star = np.array([B.evaluate(n * tau, u) for n, u in enumerate(u_star)])
     norms_seq = []
     for n in range(k, N + 1):
-        d = _newest_first(scheme.delta_f / tau, u_star[n - k : n + 1])
+        d = (scheme.delta_f / tau) @ _newest_first(u_star[n - k : n + 1])
         d -= np.asarray(problem.exact_dt(n * tau), dtype=complex).ravel()
         if B is not None:
-            d += b_star[n].ravel() - _newest_first(scheme.gamma_f, b_star[n - k : n])
+            d += b_star[n].ravel() - scheme.gamma_f @ _newest_first(b_star[n - k : n])
         norms_seq.append(spatial_norm(d.reshape(grid.shape), kind, grid))
     floor = np.finfo(float).eps * np.abs(scheme.delta_f).sum() / tau * np.abs(u_star).max()
     return ConsistencyResult(

@@ -40,11 +40,16 @@ def _state(u) -> np.ndarray:
     return u.astype(np.result_type(u, complex))
 
 
-def _newest_first(coeffs, history) -> np.ndarray:
-    """sum_i coeffs[i] * history[-1 - i], flattened: the contraction of
-    a (len(coeffs), *shape) history stored oldest first with coefficients
-    ordered newest first, as the recursion sums."""
-    return coeffs @ np.asarray(history)[::-1].reshape(len(coeffs), -1)
+def _newest_first(history) -> np.ndarray:
+    """A (k, *shape) history stored oldest first as a flat (k, size) view,
+    newest row first as the recursion sums; it follows in-place shifts."""
+    history = np.asarray(history)
+    return history[::-1].reshape(len(history), -1)
+
+
+def _require_finite(history) -> None:
+    if not np.isfinite(np.asarray(history, dtype=complex)).all():
+        raise StepError("non-finite value in the state history")
 
 
 def _peak(u) -> float:
@@ -91,7 +96,7 @@ def imex_step(
     any explicit forcing) at the same k nodes in the same order, in the
     same form, or is None when there is no explicit side.  ``extra_rhs``
     is an optional state added to the right-hand side before the solve
-    (implicit-side forcing)."""
+    (implicit-side forcing).  Checks, then the core that ``run`` marches."""
     k = scheme.k
     if len(history) != k:
         raise DomainError(f"history must hold exactly {k} states, got {len(history)}")
@@ -99,25 +104,34 @@ def imex_step(
         raise DomainError(f"need exactly {k} explicit values, got {len(explicit)}")
     if tau <= 0.0:
         raise DomainError(f"step size must be positive, got {tau}")
-    delta = scheme.delta_f
     hist = np.asarray(history)
-    rhs = _newest_first(delta[1:] / -tau, hist).astype(
-        np.result_type(hist, complex), copy=False
-    )
-    if not np.isfinite(np.asarray(rhs, dtype=complex)).all():
-        raise StepError("non-finite value in the state history")
-    if explicit is not None:
-        rhs += _newest_first(scheme.gamma_f, explicit)
-    rhs = rhs.reshape(hist.shape[1:])
-    if extra_rhs is not None:
-        rhs = rhs + extra_rhs
-    sigma = delta[0] / tau
-    try:
-        return A.shifted_solve(t_n, sigma, rhs)
-    except Exception as exc:  # noqa: BLE001 - backend failures become StepError
-        raise StepError(
-            f"shifted solve failed at t={t_n} with shift {sigma}: {exc}"
-        ) from exc
+    _require_finite(hist)
+    return _step_core(scheme, A, tau, hist, explicit)(t_n, extra_rhs)
+
+
+def _step_core(scheme: BdfScheme, A, tau: float, hist: np.ndarray, explicit):
+    """step(t_n, extra_rhs) -> u_n on views of ``imex_step``'s histories:
+    two contractions with rows computed once and one solve, unchecked."""
+    delta, shape = scheme.delta_f, hist.shape[1:]
+    sigma, gamma = delta[0] / tau, scheme.gamma_f
+    # cast once as the contraction would cast it each step
+    rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
+    hist = _newest_first(hist)
+    explicit = None if explicit is None else _newest_first(explicit)
+
+    def step(t_n, extra_rhs):
+        rhs = rows @ hist
+        if explicit is not None:
+            rhs += gamma @ explicit
+        rhs = rhs.reshape(shape)
+        if extra_rhs is not None:
+            rhs = rhs + extra_rhs
+        try:
+            return A.shifted_solve(t_n, sigma, rhs)
+        except Exception as exc:  # noqa: BLE001 - backend failures become StepError
+            raise StepError(f"shifted solve failed at t={t_n} with shift {sigma}: {exc}") from exc
+
+    return step
 
 
 def run(
@@ -141,6 +155,9 @@ def run(
     sits at t_j = t0 + j*tau); the default keeps t_j = j*tau.  The
     explicit value at node j is computed once, at t_j, for the nodes
     0..N-1 that a later step uses.
+
+    Arguments and starting values (finite, or ``StepError``) are checked
+    once; later rows are solves with a finite peak, so steps run unchecked.
     """
     k = scheme.k
     if len(starting_values) != k:
@@ -171,17 +188,19 @@ def run(
     # ring buffers of the last k states and explicit values, oldest
     # first; every solve result also stays in ``states`` as its own array
     hist = np.array(states)
+    _require_finite(hist)
     explicit = None
     if B is not None or explicit_forcing is not None:
         values = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
         explicit = np.empty(hist.shape, dtype=np.result_type(hist, *values))
         explicit[:] = values
+    step = _step_core(scheme, A, tau, hist, explicit)
 
     blow_up = None
     for n in range(k, N + 1):
         t_n = t0 + n * tau
         extra = implicit_forcing(t_n) if implicit_forcing is not None else None
-        u_n = imex_step(scheme, A, explicit, hist, t_n, tau, extra_rhs=extra)
+        u_n = step(t_n, extra)
         states.append(u_n)
         peak = _peak(u_n)
         if not math.isfinite(peak) or peak > divergence_threshold:

@@ -127,12 +127,13 @@ def _as_square_matrix(A) -> np.ndarray:
 
 
 def _coercive_hermitian_part(M: np.ndarray) -> np.ndarray:
-    """H = (M + M*)/2, checked to be positive definite."""
-    herm = 0.5 * (M + M.conj().T)
+    """H = (M + M*)/2, checked to be positive definite.  Halving each
+    term first is exact and keeps H finite for any finite M."""
+    herm = 0.5 * M + 0.5 * M.conj().T
     eigs = np.linalg.eigvalsh(herm)
     # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
-    # may be a zero, and a zero makes the constant meaningless
-    if eigs[0] <= M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
+    # may be a zero, and a zero makes the constant meaningless (NaN fails too)
+    if not eigs[0] > M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
         raise CoercivityError("Hermitian part is not positive definite")
     return herm
 
@@ -146,14 +147,17 @@ def _max_skew_ratio(A) -> float:
     """
     M = _as_square_matrix(A)
     herm = _coercive_hermitian_part(M)
-    skew = -0.5j * (M - M.conj().T)
+    skew = 0.5j * M.conj().T - 0.5j * M
     try:
         mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         # the Cholesky factor of H failed: H is positive definite only
         # up to rounding
         raise CoercivityError("Hermitian part is not positive definite") from exc
-    return float(np.abs(mu).max())
+    rho = float(np.abs(mu).max())
+    if not math.isfinite(rho):
+        raise ComputationError("generalized eigenvalues of the matrix are not finite")
+    return rho
 
 
 def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
@@ -171,14 +175,16 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
         raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
     _coercive_hermitian_part(M)
     theta = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
-    phase = np.exp(-1j * theta)
+    phase = 0.5 * np.exp(-1j * theta)  # halved first: the sum cannot overflow
     # stacked Hermitian parts H(theta) of the rotated matrix; because
     # H(theta + pi) = -H(theta), the bottom eigenvector of H(theta) is the
     # support vector of direction theta + pi, so half the directions suffice
-    stack = 0.5 * (phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T)
+    stack = phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T
     _, vecs = np.linalg.eigh(stack)
     support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
     boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support)
+    if not np.isfinite(boundary).all():
+        raise ComputationError("numerical range overflows")
     boundary.setflags(write=False)
     return boundary
 

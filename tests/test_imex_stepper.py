@@ -518,3 +518,150 @@ def test_non_finite_object_state_flags_blow_up(value, index):
     traj = stepper.run(bdf_scheme(1), PoisonOp(1.0, value, index), None, start, 0.1, 5)
     assert traj.blow_up == 1
     assert len(traj.states) == 2
+
+
+# ------------------------------------------- run against imex_step
+
+
+def _hand_stepped(scheme, A, B, start, tau, N, forcing=None, forcing_mode="explicit"):
+    """The recursion stepped by ``imex_step`` on lists of all states and
+    explicit values, evaluating each explicit value at its node time."""
+    k = scheme.k
+    states = [stepper._state(u) for u in start]
+    explicit_forcing = forcing if forcing_mode == "explicit" else None
+
+    def explicit_value(t, u):
+        value = B.evaluate(t, u)
+        return value if explicit_forcing is None else explicit_forcing(t) + value
+
+    explicit = [explicit_value(j * tau, u) for j, u in enumerate(states)]
+    for n in range(k, N + 1):
+        extra = forcing(n * tau) if forcing_mode == "implicit" else None
+        u = stepper.imex_step(scheme, A, explicit[-k:], states[-k:], n * tau, tau, extra_rhs=extra)
+        states.append(u)
+        explicit.append(explicit_value(n * tau, u))
+    return states
+
+
+@pytest.mark.parametrize("forcing_mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_run_matches_hand_stepped_imex_step_bitwise(k, forcing_mode):
+    # one step core: run's ring buffers and precomputed rows give the
+    # same bits as imex_step on freshly stacked lists
+    g = dirichlet_grid((0.0, 1.0), 24)
+    x = g.axis_nodes(0)
+    a = lambda x, t: 1.0 + 0.3 * np.sin(x + 2.0 * t)
+    B = PointwiseTerm(g, lambda u: -(u**3))
+    forcing = lambda t: 0.2 * np.cos(3.0 * t) * x * (1.0 - x)
+    start = [np.sin(np.pi * x) * math.exp(-0.1 * n) + 0.01j * x for n in range(k)]
+    tau, N = 0.02, k + 15
+    traj = stepper.run(
+        bdf_scheme(k), SparseDiffusionOperator(g, a, 0.4), B, start, tau, N,
+        forcing=forcing, forcing_mode=forcing_mode,
+    )
+    hand = _hand_stepped(
+        bdf_scheme(k), SparseDiffusionOperator(g, a, 0.4), B, start, tau, N,
+        forcing=forcing, forcing_mode=forcing_mode,
+    )
+    assert traj.blow_up is None and len(traj.states) == len(hand) == N + 1
+    for u, v in zip(traj.states, hand):
+        np.testing.assert_array_equal(u, v)
+
+
+def test_object_run_matches_hand_stepped_imex_step_exactly():
+    k, tau, N = 3, 0.05, 20
+    forcing = lambda t: np.array([mp.sin(t), mp.mpf(0), mp.cos(t)])
+    with mp.workdps(30):
+        start = [np.array([mp.exp(-n * tau), mp.mpf(-0.5), mp.mpf(0.25)]) for n in range(k)]
+        traj = stepper.run(
+            bdf_scheme(k), ScalarOp(2.0), ScaleTerm(0.3), start, tau, N, forcing=forcing
+        )
+        hand = _hand_stepped(
+            bdf_scheme(k), ScalarOp(2.0), ScaleTerm(0.3), start, tau, N, forcing=forcing
+        )
+    assert all(u.dtype == object for u in traj.states)
+    assert len(traj.states) == len(hand) == N + 1
+    for u, v in zip(traj.states, hand):
+        assert all(isinstance(x, mp.mpf) for x in u)
+        np.testing.assert_array_equal(u, v)
+
+
+# ------------------------------------------ counts and error paths
+
+
+class Counting:
+    """Operator and explicit term that count their calls; the solve
+    returns NaN from call ``nan_from`` on (1-based) when it is set."""
+
+    def __init__(self, rate=1.0, nan_from=None):
+        self.rate, self.nan_from = rate, nan_from
+        self.solves = self.evaluations = 0
+
+    def shifted_solve(self, t, sigma, r):
+        self.solves += 1
+        out = np.asarray(r, dtype=complex) / (sigma + self.rate)
+        if self.nan_from is not None and self.solves >= self.nan_from:
+            out[-1] = np.nan
+        return out
+
+    def evaluate(self, t, u):
+        self.evaluations += 1
+        return 0.1 * np.asarray(u, dtype=complex)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_run_counts_one_solve_per_step_and_one_evaluation_per_node(k):
+    A, B = Counting(), Counting()
+    N = k + 9
+    traj = stepper.run(bdf_scheme(k), A, B, [np.ones(4)] * k, 0.1, N)
+    assert traj.blow_up is None
+    assert A.solves == N - k + 1
+    assert B.evaluations == N  # nodes 0..N-1
+    assert A.evaluations == B.solves == 0
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_run_stops_solving_and_evaluating_after_blow_up(k):
+    # the third solve, at step n = k + 2, returns a NaN
+    A, B = Counting(nan_from=3), Counting()
+    traj = stepper.run(bdf_scheme(k), A, B, [np.ones(4)] * k, 0.1, k + 20)
+    n = k + 2
+    assert traj.blow_up == n and len(traj.states) == n + 1
+    assert np.isnan(traj.states[-1][-1])
+    assert A.solves == n - k + 1
+    assert B.evaluations == n  # nodes 0..n-1, none at the blown-up node
+
+
+@pytest.mark.parametrize("index", [0, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_run_rejects_non_finite_start_before_any_solve(bad, index):
+    A, B = Counting(), Counting()
+    start = [np.ones(4, dtype=complex) for _ in range(3)]
+    start[index][1] = bad
+    with pytest.raises(StepError, match="non-finite value in the state history"):
+        stepper.run(bdf_scheme(3), A, B, start, 0.1, 10)
+    assert A.solves == B.evaluations == 0
+
+
+class FailingSolve(DiagOp):
+    """DiagOp whose solve fails from time ``t_fail`` on."""
+
+    def __init__(self, grid, values, t_fail):
+        super().__init__(grid, values)
+        self.t_fail = t_fail
+
+    def shifted_solve(self, t, sigma, r):
+        if t >= self.t_fail:
+            raise RuntimeError("singular pivot")
+        return super().shifted_solve(t, sigma, r)
+
+
+def test_failing_solve_becomes_step_error_naming_time_and_shift():
+    k, tau, t0 = 2, 0.1, 0.3
+    t_fail = t0 + 5 * tau
+    sigma = bdf_scheme(k).delta_f[0] / tau
+    A = FailingSolve(GRID4, 1.0, t_fail)
+    with pytest.raises(StepError, match="singular pivot") as info:
+        stepper.run(bdf_scheme(k), A, None, [np.ones(4)] * k, tau, 10, t0=t0)
+    assert f"t={t_fail}" in str(info.value) and f"shift {sigma}" in str(info.value)
+    assert isinstance(info.value.__cause__, RuntimeError)

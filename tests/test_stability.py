@@ -223,6 +223,40 @@ def test_non_finite_matrices_rejected(n, bad):
         numerical_range_boundary(A)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    # (M + M*)/2 overflows on both, and its NaN eigenvalues used to pass
+    # the coercivity guard
+    [[[1e308, 1e308], [1e308j, 1e308]], [[1e308, 0.0], [0.0, 1e308]]],
+    ids=["nonnormal", "diagonal"],
+)
+def test_huge_finite_matrices_match_their_scaled_copy(entries):
+    # the constant, the angle and the boundary's shape are scale
+    # invariant, and scaling by 2**-1000 is exact
+    A = np.array(entries, dtype=complex)
+    small = A * 2.0**-1000
+    lam = stability_constant(small)
+    assert math.isfinite(lam)
+    assert stability_constant(A) == pytest.approx(lam, rel=1e-14)
+    holds, measured = angle_of_analyticity_check(small, 2.0)
+    assert angle_of_analyticity_check(A, 2.0) == (holds, pytest.approx(measured, abs=1e-12))
+    np.testing.assert_allclose(
+        numerical_range_boundary(A) * 2.0**-1000, numerical_range_boundary(small), rtol=1e-12
+    )
+
+
+def test_overflowing_matrices_raise_library_errors():
+    # Hermitian part I, but the skew part's eigenvalues and the
+    # numerical range reach 3.4e308
+    A = np.array([[1 + 1.7e308j, 1.7e308], [-1.7e308, 1 + 1.7e308j]])
+    with pytest.raises(ComputationError):
+        stability_constant(A)
+    with pytest.raises(ComputationError):
+        angle_of_analyticity_check(A, 2.0)
+    with pytest.raises(ComputationError):
+        numerical_range_boundary(A)
+
+
 @pytest.mark.parametrize("n", [8, 20, 40])
 def test_stability_constant_attained_by_extreme_eigenvector(n):
     """The Rayleigh quotient z of the generalized eigenvector of the
