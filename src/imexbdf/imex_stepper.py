@@ -8,12 +8,13 @@ One step solves
 so each step costs exactly one shifted linear solve.  The implicit side
 sees only A, the explicit side only B, both through the operator
 interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
-node time t_j, and reused by the k steps that need it.  Each side of
-the right-hand side is one contraction of a (k, *shape) history with
-its k coefficients; ``run`` keeps the last k states and explicit values
-in two such buffers, shifted by one row per step.  A run marches the
-recursion at fixed step size and flags divergence instead of raising,
-so threshold experiments can treat blow-up as data.
+node time t_j, and reused by the k steps that need it.  ``run`` keeps
+the last k states and explicit values in two (k, *shape) buffers,
+shifted by one row per step; it validates its input once, then marches
+a step core of one contraction per side of the right-hand side and one
+shifted solve, which ``imex_step`` runs after its own checks.  A run
+flags divergence instead of raising, so threshold experiments can treat
+blow-up as data.
 
 States take the dtype ``np.result_type(u, complex)`` of the starting
 values, so object arrays of mpmath numbers march in their own arithmetic.
