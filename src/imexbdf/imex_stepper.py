@@ -10,9 +10,10 @@ sees only A, the explicit side only B, both through the operator
 interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
 node time t_j, and reused by the k steps that need it.  ``run`` keeps
 the last k states and explicit values in two (k, *shape) buffers,
-shifted by one row per step; it validates its input once, then marches
-a step core of one contraction per side of the right-hand side and one
-shifted solve, which ``imex_step`` runs after its own checks.  A run
+shifted by one row per step; it validates its input once and builds a
+step core of one contraction per side of the right-hand side and one
+shifted solve.  Each of its steps is an ``imex_step`` call on that core,
+which skips the checks ``imex_step`` makes on a plain history.  A run
 flags divergence instead of raising, so threshold experiments can treat
 blow-up as data.
 
@@ -44,8 +45,7 @@ def _state(u) -> np.ndarray:
 def _newest_first(history) -> np.ndarray:
     """A (k, *shape) history stored oldest first as a flat (k, size) view,
     newest row first as the recursion sums; it follows in-place shifts."""
-    history = np.asarray(history)
-    return history[::-1].reshape(len(history), -1)
+    return np.asarray(history)[::-1].reshape(len(history), -1)
 
 
 def _require_finite(history) -> None:
@@ -97,7 +97,11 @@ def imex_step(
     any explicit forcing) at the same k nodes in the same order, in the
     same form, or is None when there is no explicit side.  ``extra_rhs``
     is an optional state added to the right-hand side before the solve
-    (implicit-side forcing).  Checks, then the core that ``run`` marches."""
+    (implicit-side forcing).  A non-finite history raises ``StepError``;
+    a finite one whose contraction overflows goes on to the solve.  Each
+    step of ``run`` passes its ``_StepCore``, checked once, as ``history``."""
+    if isinstance(history, _StepCore):
+        return history.step(t_n, extra_rhs)
     k = scheme.k
     if len(history) != k:
         raise DomainError(f"history must hold exactly {k} states, got {len(history)}")
@@ -107,32 +111,35 @@ def imex_step(
         raise DomainError(f"step size must be positive, got {tau}")
     hist = np.asarray(history)
     _require_finite(hist)
-    return _step_core(scheme, A, tau, hist, explicit)(t_n, extra_rhs)
+    return _StepCore(scheme, A, tau, hist, explicit).step(t_n, extra_rhs)
 
 
-def _step_core(scheme: BdfScheme, A, tau: float, hist: np.ndarray, explicit):
-    """step(t_n, extra_rhs) -> u_n on views of ``imex_step``'s histories:
-    two contractions with rows computed once and one solve, unchecked."""
-    delta, shape = scheme.delta_f, hist.shape[1:]
-    sigma, gamma = delta[0] / tau, scheme.gamma_f
-    # cast once as the contraction would cast it each step
-    rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
-    hist = _newest_first(hist)
-    explicit = None if explicit is None else _newest_first(explicit)
+class _StepCore:
+    """step(t_n, extra_rhs) -> u_n on views of the (k, *shape) histories
+    it is built on: two contractions with rows computed once and one
+    solve, unchecked; the histories may change in place between steps."""
 
-    def step(t_n, extra_rhs):
-        rhs = rows @ hist
-        if explicit is not None:
-            rhs += gamma @ explicit
-        rhs = rhs.reshape(shape)
+    def __init__(self, scheme: BdfScheme, A, tau: float, hist: np.ndarray, explicit):
+        delta, self.A, self.shape = scheme.delta_f, A, hist.shape[1:]
+        self.sigma, self.gamma = delta[0] / tau, scheme.gamma_f
+        # cast once as the contraction would cast it each step
+        self.rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
+        self.hist = _newest_first(hist)
+        self.explicit = None if explicit is None else _newest_first(explicit)
+
+    def step(self, t_n, extra_rhs):
+        rhs = self.rows @ self.hist
+        if self.explicit is not None:
+            rhs += self.gamma @ self.explicit
+        rhs = rhs.reshape(self.shape)
         if extra_rhs is not None:
             rhs = rhs + extra_rhs
         try:
-            return A.shifted_solve(t_n, sigma, rhs)
+            return self.A.shifted_solve(t_n, self.sigma, rhs)
         except Exception as exc:  # noqa: BLE001 - backend failures become StepError
-            raise StepError(f"shifted solve failed at t={t_n} with shift {sigma}: {exc}") from exc
-
-    return step
+            raise StepError(
+                f"shifted solve failed at t={t_n} with shift {self.sigma}: {exc}"
+            ) from exc
 
 
 def run(
@@ -195,13 +202,13 @@ def run(
         values = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
         explicit = np.empty(hist.shape, dtype=np.result_type(hist, *values))
         explicit[:] = values
-    step = _step_core(scheme, A, tau, hist, explicit)
+    core = _StepCore(scheme, A, tau, hist, explicit)
 
     blow_up = None
     for n in range(k, N + 1):
         t_n = t0 + n * tau
         extra = implicit_forcing(t_n) if implicit_forcing is not None else None
-        u_n = step(t_n, extra)
+        u_n = imex_step(scheme, A, explicit, core, t_n, tau, extra)
         states.append(u_n)
         peak = _peak(u_n)
         if not math.isfinite(peak) or peak > divergence_threshold:

@@ -128,7 +128,8 @@ def _as_square_matrix(A) -> np.ndarray:
 
 def _coercive_hermitian_part(M: np.ndarray) -> np.ndarray:
     """H = (M + M*)/2, checked to be positive definite.  Halving each
-    term first is exact and keeps H finite for any finite M."""
+    term first is exact outside the subnormal range and keeps H finite
+    for any finite M."""
     herm = 0.5 * M + 0.5 * M.conj().T
     eigs = np.linalg.eigvalsh(herm)
     # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
@@ -198,8 +199,7 @@ def stability_constant(A) -> float:
     The sup is attained at the extreme generalized eigenvector.  Equals 1
     exactly when A is Hermitian positive definite.
     """
-    rho = _max_skew_ratio(A)
-    return math.sqrt(1.0 + rho * rho)
+    return math.hypot(1.0, _max_skew_ratio(A))
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def coefficient_lambda(a, b) -> CoefficientLambda:
         raise CoercivityError("coefficient a must be positive everywhere")
     value = float((np.hypot(av, bv) / av).max())
     max_skew = float((np.abs(bv) / av).max())
-    identity = math.sqrt(1.0 + max_skew * max_skew)
+    identity = math.hypot(1.0, max_skew)
     if abs(value - identity) > 1e-12 * max(1.0, value):
         raise ComputationError("ratio identity violated; coefficient fields inconsistent")
     return CoefficientLambda(value=value, max_skew=max_skew)

@@ -314,10 +314,20 @@ class RecordingTerm:
         return 0.3 * np.asarray(v, dtype=complex)
 
 
+class CountingDiagOp(DiagOp):
+    """DiagOp that counts its shifted solves."""
+
+    solves = 0
+
+    def shifted_solve(self, t, sigma, r):
+        self.solves += 1
+        return super().shifted_solve(t, sigma, r)
+
+
 @pytest.mark.parametrize("with_forcing", [False, True])
 def test_explicit_side_evaluated_once_per_node(with_forcing):
-    # steps k..N use the explicit values of nodes 0..N-1, each computed
-    # once at its node time
+    # for k = 1..6, steps k..N make one solve each and use the explicit
+    # values of nodes 0..N-1, each computed once at its node time
     B = RecordingTerm()
     forcing_times = []
 
@@ -325,19 +335,24 @@ def test_explicit_side_evaluated_once_per_node(with_forcing):
         forcing_times.append(t)
         return np.full(4, math.sin(t), dtype=complex)
 
-    k, tau, N = 3, 0.1, 10
-    traj = stepper.run(
-        bdf_scheme(k),
-        DiagOp(GRID4, 1.0),
-        B,
-        [np.ones(4)] * k,
-        tau,
-        N,
-        forcing=forcing if with_forcing else None,
-    )
-    assert len(B.times) == N
-    assert B.times == list(traj.times[:N])
-    assert forcing_times == (B.times if with_forcing else [])
+    tau, N = 0.1, 10
+    for k in range(1, 7):
+        A = CountingDiagOp(GRID4, 1.0)
+        B.times.clear()
+        forcing_times.clear()
+        traj = stepper.run(
+            bdf_scheme(k),
+            A,
+            B,
+            [np.ones(4)] * k,
+            tau,
+            N,
+            forcing=forcing if with_forcing else None,
+        )
+        assert A.solves == N - k + 1  # one per step n = k..N
+        assert len(B.times) == N
+        assert B.times == list(traj.times[:N])
+        assert forcing_times == (B.times if with_forcing else [])
 
 # --------------------------------------------------- history buffers
 
@@ -609,15 +624,19 @@ class Counting:
         return 0.1 * np.asarray(u, dtype=complex)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
-def test_run_counts_one_solve_per_step_and_one_evaluation_per_node(k):
-    A, B = Counting(), Counting()
-    N = k + 9
-    traj = stepper.run(bdf_scheme(k), A, B, [np.ones(4)] * k, 0.1, N)
-    assert traj.blow_up is None
-    assert A.solves == N - k + 1
-    assert B.evaluations == N  # nodes 0..N-1
-    assert A.evaluations == B.solves == 0
+def test_each_run_step_is_one_imex_step_call(monkeypatch):
+    # span tracing counts a run's steps by its imex_step calls
+    calls = []
+    original = stepper.imex_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "imex_step", counted)
+    k, tau, N = 3, 0.1, 12
+    traj = stepper.run(bdf_scheme(k), DiagOp(GRID4, 1.0), None, [np.ones(4)] * k, tau, N)
+    assert calls == list(traj.times[k:])
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

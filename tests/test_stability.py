@@ -257,6 +257,14 @@ def test_overflowing_matrices_raise_library_errors():
         numerical_range_boundary(A)
 
 
+def test_skew_dominated_matrix_gives_finite_constant():
+    # rho = 1.7e308 is finite, so lambda = sqrt(1 + rho^2) = rho is too
+    A = np.diag([1 + 1.7e308j, 2.0])
+    assert stability_constant(A) == 1.7e308
+    assert angle_of_analyticity_check(A, 1.7e308) == (True, 0.0)
+    assert np.isfinite(numerical_range_boundary(A)).all()
+
+
 @pytest.mark.parametrize("n", [8, 20, 40])
 def test_stability_constant_attained_by_extreme_eigenvector(n):
     """The Rayleigh quotient z of the generalized eigenvector of the
