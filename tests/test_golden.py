@@ -1,0 +1,123 @@
+"""Golden CLI outputs: each case runs ``cli.main`` in a fresh directory and
+compares every file it writes, byte for byte, with ``tests/golden/<case>/``.
+
+The fixtures pin the CLI's deterministic outputs across refactors.  A
+change that means to alter an output regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and states the change.  The bytes are those of this platform's numpy and
+LAPACK builds; another BLAS may round the last digits differently.
+"""
+
+import pathlib
+import tempfile
+
+import pytest
+
+from imexbdf.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# test_cli.py's manufactured 16-point config
+MANUFACTURED = """\
+[problem]
+example = 1
+points = 16
+a = 1 + 0.5*sin(x)
+b = 0.3 + 0.15*sin(x)
+exact = exp(-t)*sin(pi*x)
+exact_dt = -exp(-t)*sin(pi*x)
+
+[scheme]
+k = 2
+
+[time]
+tau = 0.05
+steps = 20
+
+[output]
+norms = linf,l2
+"""
+
+# the same without an exact solution: solve bootstraps its starting values
+BOOTSTRAPPED = "\n".join(
+    line for line in MANUFACTURED.split("\n") if not line.startswith("exact")
+)
+
+# case -> (config text or None, argv, files written)
+CASES = {
+    "coeffs_json": (None, ["coeffs", "--k", "3", "--out", "coeffs.json"], ["coeffs.json"]),
+    "coeffs_csv": (
+        None,
+        ["coeffs", "--k", "3", "--format", "csv", "--out", "coeffs.csv"],
+        ["coeffs.csv"],
+    ),
+    "stability_json": (
+        None,
+        ["stability", "--k", "5", "--phi", "60", "--out", "stability.json"],
+        ["stability.json"],
+    ),
+    "stability_csv": (
+        None,
+        ["stability", "--k", "5", "--phi", "60", "--format", "csv", "--out", "stability.csv"],
+        ["stability.csv"],
+    ),
+    "solve": (
+        MANUFACTURED,
+        ["solve", "--config", "run.ini", "--k", "2", "--out", "traj.csv"],
+        ["traj.csv", "traj_states.csv", "traj.json"],
+    ),
+    "solve_bootstrapped": (
+        BOOTSTRAPPED,
+        ["solve", "--config", "run.ini", "--k", "2", "--out", "traj.csv"],
+        ["traj.csv", "traj_states.csv", "traj.json"],
+    ),
+    "consistency": (
+        MANUFACTURED,
+        ["consistency", "--config", "run.ini", "--k", "2", "--out", "cons"],
+        ["cons.csv", "cons.json"],
+    ),
+    "converge": (
+        MANUFACTURED,
+        ["converge", "--config", "run.ini", "--k", "2", "--tau0", "0.1", "--levels", "3",
+         "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "threshold": (
+        None,
+        ["threshold", "--k", "3", "--nodes", "8", "--steps", "200", "--out", "thr"],
+        ["thr.csv", "thr.json"],
+    ),
+}
+
+
+def run_case(name, workdir, monkeypatch):
+    """Run one case with ``workdir`` as cwd; return {file: bytes}."""
+    config, argv, files = CASES[name]
+    monkeypatch.chdir(workdir)
+    if config is not None:
+        (workdir / "run.ini").write_text(config)
+    assert main(argv) == 0
+    return {f: (workdir / f).read_bytes() for f in files}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    for fname, data in run_case(name, tmp_path, monkeypatch).items():
+        assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"
+
+
+def regenerate() -> None:
+    """Rewrite every fixture from the current code."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in CASES:
+            with tempfile.TemporaryDirectory() as tmp:
+                outputs = run_case(name, pathlib.Path(tmp), mp)
+            (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+            for fname, data in outputs.items():
+                (GOLDEN / name / fname).write_bytes(data)
+
+
+if __name__ == "__main__":
+    regenerate()
