@@ -240,17 +240,12 @@ def _cmd_solve(args) -> int:
         main_rows.append(row)
     reports.write_csv(csv_path, header, main_rows)
 
-    size = built.grid.size
-    state_header = ["n", "t"]
-    for i in range(size):
-        state_header += [f"re{i}", f"im{i}"]
-    state_rows = []
-    for n in recorded:
-        flat = np.asarray(traj.states[n], dtype=complex).ravel()
-        row = [n, traj.times[n]]
-        for z in flat:
-            row += [float(z.real), float(z.imag)]
-        state_rows.append(row)
+    state_header = ["n", "t"] + [f"{p}{i}" for i in range(built.grid.size) for p in ("re", "im")]
+    state_rows = [
+        # the re/im pairs of each node, in order
+        [n, traj.times[n], *np.asarray(traj.states[n], dtype=complex).ravel().view(float)]
+        for n in recorded
+    ]
     reports.write_csv(states_path, state_header, state_rows)
 
     final = traj.states[-1]
@@ -262,18 +257,16 @@ def _cmd_solve(args) -> int:
         "recorded_steps": len(main_rows),
         "blow_up": traj.blow_up,
         "factorizations": built.operator.factorization_count,
-        "final_time": float(traj.times[-1]),
+        "final_time": traj.times[-1],
         "final_norms": {
-            lab: reports.float_token(spatial_norm(final, kind, built.grid))
-            for kind, lab in zip(kinds, labels)
+            lab: spatial_norm(final, kind, built.grid) for kind, lab in zip(kinds, labels)
         },
         "outputs": {"csv": csv_path, "states_csv": states_path, "json": json_path},
     }
     if built.exact is not None:
         err = final - built.exact(traj.times[-1])
         payload["final_errors"] = {
-            lab: reports.float_token(spatial_norm(err, kind, built.grid))
-            for kind, lab in zip(kinds, labels)
+            lab: spatial_norm(err, kind, built.grid) for kind, lab in zip(kinds, labels)
         }
     reports.write_json(json_path, payload)
 

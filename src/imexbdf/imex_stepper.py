@@ -237,17 +237,9 @@ def make_starting_values(exact_solution, scheme: BdfScheme, tau: float):
     return [_state(exact_solution(i * tau)) for i in range(scheme.k)]
 
 
-def bootstrap_starting_values(
-    scheme: BdfScheme,
-    A,
-    B,
-    u0,
-    tau: float,
-    forcing=None,
-    forcing_mode: str = "explicit",
-):
-    """Starting values via fine backward-Euler substeps when no exact
-    solution is available.
+def bootstrap_starting_values(scheme: BdfScheme, A, B, u0, tau: float):
+    """Starting values of the unforced problem via fine backward-Euler
+    substeps when no exact solution is available.
 
     The substep size tau_sub = max(tau^(k+1), 1e-12*tau) makes the
     bootstrap error O(tau^(k+1)), below the scheme's own accuracy.  The
@@ -264,17 +256,7 @@ def bootstrap_starting_values(
     tau_sub = tau / per_interval  # land on the coarse nodes exactly
     current = values[0]
     for j in range(k - 1):
-        traj = run(
-            euler,
-            A,
-            B,
-            [current],
-            tau_sub,
-            per_interval,
-            forcing=forcing,
-            forcing_mode=forcing_mode,
-            t0=j * tau,
-        )
+        traj = run(euler, A, B, [current], tau_sub, per_interval, t0=j * tau)
         if traj.blow_up is not None:
             raise StepError(f"bootstrap diverged inside interval {j}")
         current = traj.final_state

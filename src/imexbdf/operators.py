@@ -244,8 +244,9 @@ class SparseDiffusionOperator(LinearOperator):
         target = args[0].shape
         a_vals = np.broadcast_to(np.asarray(self._a(*args), dtype=float), target)
         b_vals = np.broadcast_to(np.asarray(self._b(*args), dtype=float), target)
-        if a_vals.min() <= 0.0:
-            raise CoercivityError("diffusion coefficient a must be positive")
+        # NaN fails every comparison, so the guard is written to fail on it
+        if not (0.0 < a_vals.min() and a_vals.max() < np.inf and np.isfinite(b_vals).all()):
+            raise CoercivityError("diffusion coefficient a must be positive and a, b finite")
         return a_vals + 1j * b_vals
 
     def assemble(self, t: float) -> sp.csc_matrix:

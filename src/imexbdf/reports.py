@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -111,122 +112,86 @@ def write_csv(path, header, rows) -> None:
 
 
 # -- per-report serializers -------------------------------------------------
+#
+# Each payload is a dict of the report's own values passed once through
+# to_jsonable; each CSV row holds raw values that csv_cell formats.
 
 def scheme_payload(scheme: BdfScheme) -> dict:
-    return {
+    return to_jsonable({
         "k": scheme.k,
-        "delta": [float(d) for d in scheme.delta_f],
-        "gamma": [float(g) for g in scheme.gamma_f],
-        "delta_exact": [str(d) for d in scheme.delta],
-        "gamma_exact": [str(g) for g in scheme.gamma],
-    }
+        "delta": scheme.delta_f,
+        "gamma": scheme.gamma_f,
+        "delta_exact": scheme.delta,
+        "gamma_exact": scheme.gamma,
+    })
 
 
 def scheme_rows(scheme: BdfScheme):
-    header = ["i", "delta", "gamma"]
-    rows = []
-    for i, d in enumerate(scheme.delta_f):
-        g = csv_cell(float(scheme.gamma_f[i])) if i < scheme.k else ""
-        rows.append([i, float(d), g])
-    return header, rows
+    pairs = zip_longest(scheme.delta_f, scheme.gamma_f, fillvalue="")
+    return ["i", "delta", "gamma"], [[i, d, g] for i, (d, g) in enumerate(pairs)]
 
 
 def stability_payload(report: StabilityReport) -> dict:
-    locus = [
-        [float(th), float(z.real), float(z.imag)]
-        for th, z in zip(report.locus_theta, report.locus_values)
-    ]
-    return {
+    alpha = math.radians(report.alpha_deg)
+    return to_jsonable({
         "k": report.k,
         "alpha_deg": report.alpha_deg,
-        "alpha_rad": math.radians(report.alpha_deg),
-        "lambda_threshold": float_token(report.lambda_threshold),
-        "tan_alpha": float_token(math.tan(math.radians(report.alpha_deg))),
+        "alpha_rad": alpha,
+        "lambda_threshold": report.lambda_threshold,
+        "tan_alpha": math.tan(alpha),
         "a_stable": report.alpha_deg >= 90.0,
-        "locus": locus,
-    }
+        "locus": stability_rows(report)[1],
+    })
 
 
 def stability_rows(report: StabilityReport):
-    header = ["theta", "re", "im"]
-    rows = [
-        [float(th), float(z.real), float(z.imag)]
-        for th, z in zip(report.locus_theta, report.locus_values)
-    ]
-    return header, rows
+    z = report.locus_values
+    return ["theta", "re", "im"], list(zip(report.locus_theta, z.real, z.imag))
 
 
 def sweep_payload(result: RootSweepResult) -> dict:
-    return {
+    return to_jsonable({
         "k": result.k,
         "phi": result.phi,
         "tau": result.tau,
-        "rho": [float(r) for r in result.rho_grid],
-        "max_root_modulus": [float(m) for m in result.max_root_moduli],
-        "stable": [bool(s) for s in result.stable_flags],
+        "rho": result.rho_grid,
+        "max_root_modulus": result.max_root_moduli,
+        "stable": result.stable_flags,
         "all_stable": result.all_stable,
-    }
+    })
 
 
 def sweep_rows(result: RootSweepResult):
     header = ["rho", "max_root_modulus", "stable"]
-    rows = [
-        [float(r), float(m), bool(s)]
-        for r, m, s in zip(result.rho_grid, result.max_root_moduli, result.stable_flags)
-    ]
-    return header, rows
+    return header, list(zip(result.rho_grid, result.max_root_moduli, result.stable_flags))
 
 
 def consistency_payload(result: ConsistencyResult) -> dict:
-    return {
+    return to_jsonable({
         "k": result.scheme_k,
         "tau": result.tau,
-        "defect_norms": [float_token(v) for v in result.norms],
-        "max_defect_norm": float_token(result.max_norm),
-        "roundoff_floor": float_token(result.roundoff_floor),
-    }
+        "defect_norms": result.norms,
+        "max_defect_norm": result.max_norm,
+        "roundoff_floor": result.roundoff_floor,
+    })
 
 
 def consistency_rows(result: ConsistencyResult):
-    header = ["n", "t", "defect_norm"]
     k = result.scheme_k
-    rows = [
-        [k + j, (k + j) * result.tau, float(v)] for j, v in enumerate(result.norms)
-    ]
-    return header, rows
+    rows = [[k + j, (k + j) * result.tau, v] for j, v in enumerate(result.norms)]
+    return ["n", "t", "defect_norm"], rows
 
 
 def convergence_payload(report: ConvergenceReport) -> dict:
-    rows = []
-    for row in report.rows:
-        rows.append(
-            {
-                "tau": row.tau,
-                "stable": row.stable,
-                "max_errors": {
-                    lab: float_token(v) for lab, v in row.max_errors.items()
-                },
-                "time_l2_errors": {
-                    lab: float_token(v) for lab, v in row.time_l2_errors.items()
-                },
-                "dq_time_l2": {
-                    lab: float_token(v) for lab, v in row.dq_time_l2.items()
-                },
-            }
-        )
-    fits = {
-        lab: {"slope": fit.slope, "residual": fit.residual, "n_used": fit.n_used}
-        for lab, fit in report.fits.items()
-    }
-    return {
+    return to_jsonable({
         "k": report.k,
         "expected_order": report.expected_order,
-        "norms": list(report.norm_labels),
-        "rows": rows,
-        "fits": fits,
-        "passes": dict(report.passes),
-        "unstable_taus": [float(t) for t in report.unstable_taus],
-    }
+        "norms": report.norm_labels,
+        "rows": report.rows,
+        "fits": report.fits,
+        "passes": report.passes,
+        "unstable_taus": report.unstable_taus,
+    })
 
 
 def convergence_rows(report: ConvergenceReport):
@@ -246,23 +211,12 @@ def convergence_rows(report: ConvergenceReport):
 
 
 def threshold_payload(report: ThresholdReport) -> dict:
-    lo, hi = report.bracket
-    lo = None if lo is None else float_token(lo)
-    hi = None if hi is None else float_token(hi)
-    return {
+    return to_jsonable({
         "k": report.k,
         "tan_alpha": report.tan_alpha,
-        "rows": [
-            {
-                "ratio": row.ratio,
-                "tau_count": row.tau_count,
-                "unstable_count": row.unstable_count,
-                "bounded": row.bounded,
-            }
-            for row in report.rows
-        ],
-        "bracket": [lo, hi],
-    }
+        "rows": [{**asdict(row), "bounded": row.bounded} for row in report.rows],
+        "bracket": report.bracket,
+    })
 
 
 def threshold_rows(report: ThresholdReport):

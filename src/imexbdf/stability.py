@@ -126,6 +126,18 @@ def _as_square_matrix(A) -> np.ndarray:
     return M
 
 
+def _scaled_for_overflow(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, 1.0), or (M * 2**-512, 2**512) when the entries are near
+    overflow, where the eigenvalues of H and K may exceed the double range
+    though the entries do not.  The scaling is exact, rho and the boundary's shape
+    are scale invariant, and an even power of two scales the Cholesky
+    factor of H exactly; every other matrix is left as it is."""
+    big = max(np.abs(M.real).max(), np.abs(M.imag).max())
+    if big > 0.25 * np.finfo(float).max / M.shape[0]:
+        return M * 2.0**-512, 2.0**512
+    return M, 1.0
+
+
 def _coercive_hermitian_part(M: np.ndarray) -> np.ndarray:
     """H = (M + M*)/2, checked to be positive definite.  Halving each
     term first is exact outside the subnormal range and keeps H finite
@@ -146,7 +158,7 @@ def _max_skew_ratio(A) -> float:
     Im z = v*Kv, so Im z / Re z ranges exactly over the eigenvalues mu of
     the Hermitian-definite pencil K x = mu H x, and rho = max |mu|.
     """
-    M = _as_square_matrix(A)
+    M, _ = _scaled_for_overflow(_as_square_matrix(A))
     herm = _coercive_hermitian_part(M)
     skew = 0.5j * M.conj().T - 0.5j * M
     try:
@@ -171,7 +183,7 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     a read-only array.  Nothing is cached: each call runs one batched
     ``eigh`` of n_angles/2 Hermitian matrices.
     """
-    M = _as_square_matrix(A)
+    M, scale = _scaled_for_overflow(_as_square_matrix(A))
     if n_angles < 360 or n_angles % 2:
         raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
     _coercive_hermitian_part(M)
@@ -183,7 +195,7 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     stack = phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T
     _, vecs = np.linalg.eigh(stack)
     support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
-    boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support)
+    boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support) * scale
     if not np.isfinite(boundary).all():
         raise ComputationError("numerical range overflows")
     boundary.setflags(write=False)
@@ -219,8 +231,8 @@ def coefficient_lambda(a, b) -> CoefficientLambda:
     av, bv = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if av.size == 0:
         raise DomainError("empty coefficient field")
-    if av.min() <= 0.0:
-        raise CoercivityError("coefficient a must be positive everywhere")
+    if not (0.0 < av.min() and av.max() < np.inf and np.isfinite(bv).all()):  # NaN fails too
+        raise CoercivityError("coefficient a must be positive and a, b finite everywhere")
     value = float((np.hypot(av, bv) / av).max())
     max_skew = float((np.abs(bv) / av).max())
     identity = math.hypot(1.0, max_skew)

@@ -8,7 +8,7 @@ from imexbdf.config import (
     override,
     parse_config,
 )
-from imexbdf.errors import ConfigError
+from imexbdf.errors import CoercivityError, ConfigError
 from imexbdf.operators import (
     SparseDiffusionOperator,
     SpectralDiagonalOperator,
@@ -222,6 +222,15 @@ class TestBuildProblem:
         moving.operator.shifted_solve(0.0, 2.0, rhs)
         moving.operator.shifted_solve(0.7, 2.0, rhs)
         assert moving.operator.factorization_count == 2
+
+    def test_infinite_interface_coefficient_rejected(self):
+        # 8 Dirichlet points put an interface at x = 0.5, where a = inf
+        cfg = parse_config(
+            "[problem]\nexample = 1\npoints = 8\na = 1 + 1/abs(x - 0.5)\n"
+            "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
+        )
+        with pytest.raises(CoercivityError), np.errstate(divide="ignore"):
+            build_problem(cfg)
 
     def test_spectral_examples_assemble(self):
         for ex in ("3", "4"):

@@ -238,6 +238,14 @@ def test_bootstrap_k1_returns_initial_state():
     assert len(vals) == 1
     np.testing.assert_allclose(vals[0], 1.0)
 
+def test_bootstrap_takes_no_forcing():
+    # the bootstrap marches the unforced problem only
+    A = DiagOp(GRID4, 1.0)
+    with pytest.raises(TypeError):
+        stepper.bootstrap_starting_values(
+            bdf_scheme(2), A, None, np.ones(4), 0.2, forcing=lambda t: np.zeros(4)
+        )
+
 def test_time_dependent_bootstrap_sees_global_clock():
     # A(t) must be evaluated at absolute time inside later bootstrap
     # intervals; compare against a fine direct reference

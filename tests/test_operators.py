@@ -128,6 +128,20 @@ def test_nonpositive_coefficient_rejected():
     with pytest.raises(CoercivityError):
         ops.SparseDiffusionOperator(g, lambda x, t: np.cos(4.0 * np.pi * x), 0.0)
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("coeff", ["a", "b"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_nonfinite_coefficient_rejected(ndim, coeff, bad):
+    # non-finite on half the interfaces at t = 1 only: the operator is
+    # accepted at t = 0 and the build at the new time refuses it
+    g = (ops.dirichlet_grid((0.0, 1.0), 16) if ndim == 1
+         else ops.dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], (6, 6)))
+    field = lambda x, *rest: np.where((x > 0.5) & (rest[-1] > 0.5), bad, 1.0)
+    a, b = (field, 0.0) if coeff == "a" else (1.0, field)
+    op = ops.SparseDiffusionOperator(g, a, b)
+    with pytest.raises(CoercivityError):
+        op.shifted_solve(1.0, 1.0, np.ones(g.shape))
+
 def test_shifted_solve_inverts_shifted_matrix():
     g = ops.dirichlet_grid((0.0, 1.0), 32)
     op = ops.SparseDiffusionOperator(g, lambda x, t: 1.0 + 0.2 * x, lambda x, t: 0.1)

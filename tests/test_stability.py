@@ -225,10 +225,12 @@ def test_non_finite_matrices_rejected(n, bad):
 
 @pytest.mark.parametrize(
     "entries",
-    # (M + M*)/2 overflows on both, and its NaN eigenvalues used to pass
-    # the coercivity guard
-    [[[1e308, 1e308], [1e308j, 1e308]], [[1e308, 0.0], [0.0, 1e308]]],
-    ids=["nonnormal", "diagonal"],
+    # (M + M*)/2 overflows on the first two, and its NaN eigenvalues used
+    # to pass the coercivity guard; the third is positive definite, but
+    # the top eigenvalue of its finite H exceeds the double range
+    [[[1e308, 1e308], [1e308j, 1e308]], [[1e308, 0.0], [0.0, 1e308]],
+     [[1.7e308 + 1.7e308j, 1e308], [1e308, 1.7e308]]],
+    ids=["nonnormal", "diagonal", "hermitian_eigenvalue_overflows"],
 )
 def test_huge_finite_matrices_match_their_scaled_copy(entries):
     # the constant, the angle and the boundary's shape are scale
@@ -240,9 +242,13 @@ def test_huge_finite_matrices_match_their_scaled_copy(entries):
     assert stability_constant(A) == pytest.approx(lam, rel=1e-14)
     holds, measured = angle_of_analyticity_check(small, 2.0)
     assert angle_of_analyticity_check(A, 2.0) == (holds, pytest.approx(measured, abs=1e-12))
-    np.testing.assert_allclose(
-        numerical_range_boundary(A) * 2.0**-1000, numerical_range_boundary(small), rtol=1e-12
-    )
+    boundary = numerical_range_boundary(small)
+    if np.abs(boundary.view(float)).max() < np.finfo(float).max * 2.0**-1000:
+        np.testing.assert_allclose(numerical_range_boundary(A) * 2.0**-1000, boundary, rtol=1e-12)
+    else:
+        # the numerical range itself leaves the double range
+        with pytest.raises(ComputationError):
+            numerical_range_boundary(A)
 
 
 def test_overflowing_matrices_raise_library_errors():
@@ -320,6 +326,17 @@ def test_coefficient_lambda_grid_oracle():
 def test_coefficient_lambda_rejects_nonpositive_a():
     with pytest.raises(CoercivityError):
         coefficient_lambda(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([1.0, math.nan], [0.0, 0.0]), ([1.0, math.inf], [0.0, 0.0]), ([1.0, 1.0], [0.0, math.nan]),
+     ([1.0, 1.0], [-math.inf, 0.0])],
+    ids=["a_nan", "a_inf", "b_nan", "b_inf"],
+)
+def test_coefficient_lambda_rejects_nonfinite_coefficients(a, b):
+    with pytest.raises(CoercivityError):
+        coefficient_lambda(np.array(a), np.array(b))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
