@@ -195,7 +195,8 @@ def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
     stack = phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T
     _, vecs = np.linalg.eigh(stack)
     support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
-    boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support) * scale
+    with np.errstate(over="ignore"):  # an overflow is raised as ComputationError below
+        boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support) * scale
     if not np.isfinite(boundary).all():
         raise ComputationError("numerical range overflows")
     boundary.setflags(write=False)
