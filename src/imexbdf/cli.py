@@ -44,6 +44,7 @@ from .convergence_harness import (
     threshold_experiment,
 )
 from .errors import (
+    CoercivityError,
     ComputationError,
     ConfigError,
     DomainError,
@@ -182,7 +183,10 @@ def _load(args, **overrides) -> tuple[RunConfig, BuiltProblem]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     cfg = override(parse_config(text), **overrides)
-    return cfg, build_problem(cfg)
+    try:
+        return cfg, build_problem(cfg)
+    except CoercivityError as exc:  # the config's coefficients are at fault
+        raise ConfigError(str(exc)) from None
 
 
 def _echo(cfg: RunConfig) -> dict:

@@ -401,8 +401,9 @@ def _state_evaluator(expr: FieldExpr, grid: Grid):
     meshes = grid.meshes()
 
     def evaluate(t: float) -> np.ndarray:
-        value = expr(*meshes, t)
-        return np.array(np.broadcast_to(np.asarray(value, dtype=complex), grid.shape))
+        out = np.empty(grid.shape, dtype=complex)
+        out[...] = expr(*meshes, t)  # scalars broadcast
+        return out
 
     return evaluate
 

@@ -156,14 +156,17 @@ def _coercivity_probes(shape: tuple[int, ...]) -> np.ndarray:
     return probes
 
 
-def _coercivity_spot_check(product, grid: Grid, label: str) -> None:
-    # a handful of seeded random states, drawn once per grid shape, to
-    # which ``product`` applies the operator at once; catches sign
-    # errors, not genuine indefiniteness in adversarial corners
-    probes = _coercivity_probes(grid.shape)
-    images = np.reshape(product(probes), (len(probes), -1))
-    if np.any(np.vecdot(probes.reshape(len(probes), -1), images).real <= 0.0):
-        raise CoercivityError(f"{label}: random state with nonpositive Re<Av,v>")
+@functools.lru_cache(maxsize=8)
+def _band_forms(n: int, periodic: bool) -> np.ndarray:
+    """Row i: what each entry of ``np.concatenate(_bands(...))`` adds to
+    <Av, v> for probe v = p_i, so Re(forms @ bands) is Re<Av, v>."""
+    p = _coercivity_probes((n,))
+    links = np.roll(p, -1, axis=1).conj() * p  # conj(p_{j+1}) p_j, cyclically
+    corners = links[:, -1:] if periodic else links[:, :0]
+    parts = [links[:, :-1], p.conj() * p, links[:, :-1].conj(), corners, corners.conj()]
+    forms = np.concatenate(parts, axis=1)
+    forms.setflags(write=False)
+    return forms
 
 
 class LinearOperator(ABC):
@@ -206,14 +209,15 @@ class SparseDiffusionOperator(LinearOperator):
     at t_old a near-exact preconditioner, so the solve refines on it
     (``_refine``) to the backward error of a fresh factor and
     refactorizes at (t, sigma) only when that takes more than
-    ``_REFINE_MAX_STEPS`` corrections.
+    ``_REFINE_MAX_STEPS`` corrections.  A new A(t) must give Re<Av, v> > 0 for
+    4 seeded random v, in 1-d via their cached conj(v_i) v_j (``_band_forms``).
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
         self.grid = grid
         scalars = isinstance(a, Number) and isinstance(b, Number)
-        self._a = (lambda *args: np.broadcast_to(float(a), np.shape(args[0])).copy()) if isinstance(a, Number) else a
-        self._b = (lambda *args: np.broadcast_to(float(b), np.shape(args[0])).copy()) if isinstance(b, Number) else b
+        self._a = (lambda *args: float(a)) if isinstance(a, Number) else a
+        self._b = (lambda *args: float(b)) if isinstance(b, Number) else b
         self.autonomous = scalars if autonomous is None else bool(autonomous)
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
         if grid.ndim == 2:
@@ -241,13 +245,12 @@ class SparseDiffusionOperator(LinearOperator):
     def _midpoint_coeffs(self, t: float, axis: int) -> np.ndarray:
         """Complex a + ib at the cell interfaces along one axis."""
         args = (*self._iface_coords[axis], t)
-        target = args[0].shape
-        a_vals = np.broadcast_to(np.asarray(self._a(*args), dtype=float), target)
-        b_vals = np.broadcast_to(np.asarray(self._b(*args), dtype=float), target)
+        c = np.empty(args[0].shape, dtype=complex)
+        c.real, c.imag = self._a(*args), self._b(*args)  # scalars broadcast
         # NaN fails every comparison, so the guard is written to fail on it
-        if not (0.0 < a_vals.min() and a_vals.max() < np.inf and np.isfinite(b_vals).all()):
+        if not (0.0 < c.real.min() and c.real.max() < np.inf and np.isfinite(c.imag).all()):
             raise CoercivityError("diffusion coefficient a must be positive and a, b finite")
-        return a_vals + 1j * b_vals
+        return c
 
     def assemble(self, t: float) -> sp.csc_matrix:
         """The matrix of A(t); on 1-d grids made from the bands on each call."""
@@ -266,9 +269,15 @@ class SparseDiffusionOperator(LinearOperator):
         if cached_key == key:
             return stencil
         stencil = self._build(t)
-        product = (functools.partial(_band_product, stencil) if self.grid.ndim == 1
-                   else lambda v: (stencil @ np.ascontiguousarray(v.reshape(len(v), -1).T)).T)
-        _coercivity_spot_check(product, self.grid, "diffusion operator")
+        # catches sign errors, not genuine indefiniteness in adversarial corners
+        if self.grid.ndim == 1:
+            forms = _band_forms(self.grid.size, self.grid.boundary == PERIODIC)
+            values = (forms @ np.concatenate(stencil)).real
+        else:
+            probes = _coercivity_probes(self.grid.shape).reshape(-1, self.grid.size)
+            values = np.vecdot(probes, (stencil @ np.ascontiguousarray(probes.T)).T).real
+        if np.any(values <= 0.0):
+            raise CoercivityError("diffusion operator: random state with nonpositive Re<Av,v>")
         with self._lock:
             self._stencil_cache = (key, stencil)
         return stencil

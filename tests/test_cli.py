@@ -265,6 +265,20 @@ class TestSolve:
         )
         assert code == 2 and "time.tau" in err
 
+    def test_nonpositive_coefficient_exits_two(self, capsys, tmp_path):
+        # 8 Dirichlet points put interfaces where cos(4 pi x) < 0
+        cfg = tmp_path / "negative.ini"
+        cfg.write_text(
+            "[problem]\nexample = 1\npoints = 8\na = cos(4*pi*x)\n"
+            "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
+        )
+        code, _, err = run_cli(
+            capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2
+        assert "config error" in err and "coefficient a must be positive" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConsistency:
     def test_outputs(self, capsys, tmp_path, manufactured_config):

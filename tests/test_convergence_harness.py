@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from imexbdf import convergence_harness as harness
+from imexbdf import operators as ops
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import DomainError, FitError
 from imexbdf.norms import L2, spatial_norm
@@ -105,6 +106,28 @@ def test_time_dependent_solve_builds_matrix_once_per_node():
     # nodes 1..N; node 0 reuses the bands the constructor built
     assert len(builds) == N
     assert assembled == []
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_example1_run_builds_and_checks_once_per_node(k, monkeypatch):
+    # a second build per step (a thrashing single-slot cache) would
+    # show here; the constructor's build at t = 0 serves node 0
+    builds, checks = [], []
+    build, forms = SparseDiffusionOperator._build, ops._band_forms
+    monkeypatch.setattr(
+        SparseDiffusionOperator, "_build", lambda op, t: builds.append(t) or build(op, t)
+    )
+    monkeypatch.setattr(ops, "_band_forms", lambda *key: checks.append(key) or forms(*key))
+    grid = dirichlet_grid((0.0, 1.0), 24)
+    op, term = assemble_example1(grid, lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t), 0.3)
+    profile = np.sin(np.pi * grid.axis_nodes(0))
+    prob = harness.ManufacturedProblem(
+        grid, op, term, lambda t: math.exp(-t) * profile, lambda t: -math.exp(-t) * profile
+    )
+    N = 10
+    traj = prob.solve(bdf_scheme(k), 0.02, N)
+    assert traj.blow_up is None
+    assert len(builds) == len(set(builds)) == N + 1
+    assert len(checks) == N + 1
 
 
 # ---------------------------------------------------- consistency

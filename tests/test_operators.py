@@ -423,6 +423,37 @@ def test_coercivity_probes_drawn_once_per_shape():
         )
         assert not v.flags.writeable
     assert ops._coercivity_probes((5, 3)) is probes
+    for periodic in (False, True):
+        forms = ops._band_forms(7, periodic)
+        assert forms.shape == (4, 3 * 7 - 2 + 2 * periodic)
+        assert not forms.flags.writeable
+        assert ops._band_forms(7, periodic) is forms
+
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_band_forms_match_band_product(make_grid):
+    # the spot check's Re<Av, v> against the probes multiplied out
+    n = 40
+    g = make_grid((0.0, 1.0), n)
+    op = ops.SparseDiffusionOperator(
+        g, lambda x, t: _coeff_1d(x, t)[0], lambda x, t: _coeff_1d(x, t)[1]
+    )
+    probes = ops._coercivity_probes((n,))
+    forms = ops._band_forms(n, make_grid is ops.periodic_grid)
+    for t in (0.3, 1.7):
+        bands = op._stencil(t)
+        reference = np.vecdot(probes, ops._band_product(bands, probes)).real
+        assert np.all(reference > 0.0)
+        np.testing.assert_allclose(
+            (forms @ np.concatenate(bands)).real, reference, rtol=1e-13, atol=0.0
+        )
+    # unrelated sub- and super-diagonals, corners and signs
+    rng = np.random.default_rng(8)
+    bands = [rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size) for band in bands]
+    reference = np.vecdot(probes, ops._band_product(bands, probes)).real
+    scale = np.abs(forms) @ np.abs(np.concatenate(bands))
+    assert np.all(np.abs((forms @ np.concatenate(bands)).real - reference) <= 1e-13 * scale)
 
 @pytest.mark.parametrize("ratio", [0.0, 1.3, 14.5])
 @pytest.mark.parametrize("n", [4, 48])
