@@ -184,7 +184,10 @@ def _load(args, **overrides) -> tuple[RunConfig, BuiltProblem]:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     cfg = override(parse_config(text), **overrides)
     try:
-        return cfg, build_problem(cfg)
+        # a coefficient that is inf or NaN on the grid is reported as a
+        # config error below, not also as numpy's RuntimeWarning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return cfg, build_problem(cfg)
     except CoercivityError as exc:  # the config's coefficients are at fault
         raise ConfigError(str(exc)) from None
 

@@ -13,7 +13,10 @@ the last k states and explicit values in two (k, *shape) buffers,
 shifted by one row per step; it validates its input once and builds a
 step core of one contraction per side of the right-hand side and one
 shifted solve.  Each of its steps is an ``imex_step`` call on that core,
-which skips the checks ``imex_step`` makes on a plain history.  A run
+which skips the checks ``imex_step`` makes on a plain history.  A
+``LinearOperator`` also gets the step's predictor, the gamma
+extrapolation of the states, which a solve that iterates starts from
+(duck-typed operators get three arguments).  A run
 flags divergence instead of raising, so threshold experiments can treat
 blow-up as data.
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .bdf_coeffs import BdfScheme, bdf_scheme
 from .errors import DomainError, StepError
+from .operators import LinearOperator
 
 DIVERGENCE_FACTOR = 1e8  # relative overflow guard for blow-up flagging
 
@@ -126,6 +130,13 @@ class _StepCore:
         self.rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
         self.hist = _newest_first(hist)
         self.explicit = None if explicit is None else _newest_first(explicit)
+        # duck-typed operators keep the three-argument solve; the predictor
+        # is bound per call, as a stored bound method is a reference cycle
+        self.predicts = isinstance(A, LinearOperator)
+
+    def predict(self) -> np.ndarray:
+        """u_n to O(tau^k): the gamma extrapolation that B gets, on the states."""
+        return (self.gamma @ self.hist).reshape(self.shape)
 
     def step(self, t_n, extra_rhs):
         rhs = self.rows @ self.hist
@@ -135,6 +146,8 @@ class _StepCore:
         if extra_rhs is not None:
             rhs = rhs + extra_rhs
         try:
+            if self.predicts:
+                return self.A.shifted_solve(t_n, self.sigma, rhs, self.predict)
             return self.A.shifted_solve(t_n, self.sigma, rhs)
         except Exception as exc:  # noqa: BLE001 - backend failures become StepError
             raise StepError(

@@ -34,7 +34,7 @@ from numbers import Number
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse.linalg import norm as sparse_norm, splu
+from scipy.sparse.linalg import splu
 
 from .errors import CoercivityError, ConfigError, DomainError, UnsupportedOperationError
 
@@ -179,8 +179,10 @@ class LinearOperator(ABC):
     def apply(self, t: float, v) -> np.ndarray: ...
 
     @abstractmethod
-    def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
-        """Solve (sigma I + A(t)) u = r."""
+    def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
+        """Solve (sigma I + A(t)) u = r.  ``predict`` is None or a
+        zero-argument callable returning a guess of u, which a solver
+        that iterates may start from; others ignore it."""
 
     @property
     def factorization_count(self) -> int:
@@ -207,7 +209,9 @@ class SparseDiffusionOperator(LinearOperator):
     and the step size is fixed, and rebuilt when sigma changes.  A new time alone rebuilds it on
     1-d grids; in 2-d, A(t) - A(t_old) = O(t - t_old) makes the factor
     at t_old a near-exact preconditioner, so the solve refines on it
-    (``_refine``) to the backward error of a fresh factor and
+    (``_refine``) to the backward error of a fresh factor, starting
+    from the caller's prediction of u when ``predict`` is given (the
+    stepper passes its order-k extrapolation of the states), and
     refactorizes at (t, sigma) only when that takes more than
     ``_REFINE_MAX_STEPS`` corrections.  A new A(t) must give Re<Av, v> > 0 for
     4 seeded random v, in 1-d via their cached conj(v_i) v_j (``_band_forms``).
@@ -302,7 +306,9 @@ class SparseDiffusionOperator(LinearOperator):
             return _band_product(self._stencil(t), state)
         return (self.assemble(t) @ state.ravel()).reshape(self.grid.shape)
 
-    def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
+    def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
+        """Solve (sigma I + A(t)) u = r on the cached factor; only a 2-d
+        refinement at a new time calls ``predict``, for its start."""
         rhs = _as_state(self.grid, r).ravel()
         key = (self._time_key(t), float(sigma))
         factor_key, factor = self._factor_cache
@@ -315,7 +321,8 @@ class SparseDiffusionOperator(LinearOperator):
                 data[self._diag_slots] += sigma
                 matrix = self._csc(data)
                 if factor_key is not None and factor_key[1] == key[1]:
-                    u = _refine(factor, matrix, rhs)
+                    start = None if predict is None else _as_state(self.grid, predict()).ravel()
+                    u = _refine(factor, matrix, rhs, start)
                     if u is not None:
                         return u.reshape(self.grid.shape)
                 factor = splu(matrix, permc_spec="MMD_AT_PLUS_A")
@@ -396,15 +403,22 @@ class _TridiagonalLU:
 _REFINE_MAX_STEPS = 8
 
 
-def _refine(factor, matrix, rhs: np.ndarray) -> np.ndarray | None:
+def _refine(factor, matrix, rhs: np.ndarray, start=None) -> np.ndarray | None:
     """Solve matrix @ u = rhs by refinement u <- u + factor^-1 (rhs -
     matrix u) on ``factor``, the LU of a nearby matrix, until the max-norm
     backward error is that of a fresh factor: ||rhs - matrix u|| <=
-    eps (||matrix|| ||u|| + ||rhs||).  None if that takes more than
-    _REFINE_MAX_STEPS corrections."""
+    eps (||matrix|| ||u|| + ||rhs||).  The first iterate is
+    start + factor^-1 (rhs - matrix start), or factor^-1 rhs without a
+    ``start``.  None if that takes more than _REFINE_MAX_STEPS
+    corrections."""
     eps = np.finfo(float).eps
-    matrix_norm, rhs_norm = sparse_norm(matrix, np.inf), np.abs(rhs).max()
-    u = factor.solve(rhs)
+    # ||matrix||_inf: the largest absolute row sum (CSC indices are rows)
+    matrix_norm = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+    rhs_norm = np.abs(rhs).max()
+    if start is None:
+        u = factor.solve(rhs)
+    else:
+        u = start + factor.solve(rhs - matrix @ start)
     for step in range(_REFINE_MAX_STEPS + 1):
         residual = rhs - matrix @ u
         if np.abs(residual).max() <= eps * (matrix_norm * np.abs(u).max() + rhs_norm):
@@ -511,7 +525,7 @@ class SpectralDiagonalOperator(LinearOperator):
         state = _as_state(self.grid, v)
         return np.fft.ifftn(self.symbol * np.fft.fftn(state))
 
-    def shifted_solve(self, t: float, sigma: float, r) -> np.ndarray:
+    def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
         rhs = _as_state(self.grid, r)
         denom = sigma + self.symbol
         if denom.min() <= 0.0:

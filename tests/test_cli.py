@@ -395,18 +395,38 @@ class TestThreshold:
         assert code == 2
 
 
+def child_env():
+    """The environment of a child that imports the same imexbdf as this
+    process, installed or not."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(imexbdf.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEnvironment:
     def test_module_entry_point(self):
-        # the child imports the same imexbdf as this process, installed
-        # or not
-        env = dict(os.environ)
-        package_root = os.path.dirname(os.path.dirname(imexbdf.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "imexbdf.cli", "coeffs", "--k", "2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 2
+
+    def test_infinite_coefficient_exits_two_without_numpy_warning(self, capfd, tmp_path):
+        # 8 Dirichlet points put an interface at x = 0.5, where a = inf.
+        # A child process, because pytest records warnings raised in
+        # this one instead of printing them.
+        cfg = tmp_path / "infinite.ini"
+        cfg.write_text(
+            "[problem]\nexample = 1\npoints = 8\na = 1 + 1/abs(x - 0.5)\n"
+            "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
+        )
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        env = {**child_env(), "PYTHONWARNINGS": "default"}
+        code = subprocess.run([sys.executable, "-m", "imexbdf.cli", *argv], env=env).returncode
+        err = capfd.readouterr().err
+        assert code == 2 and "config error" in err
+        assert "RuntimeWarning" not in err

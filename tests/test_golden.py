@@ -45,6 +45,29 @@ BOOTSTRAPPED = "\n".join(
     line for line in MANUFACTURED.split("\n") if not line.startswith("exact")
 )
 
+# a 12 x 12 example-1 run with a time-dependent coefficient: its steps
+# after the first refine on one sparse factor
+MANUFACTURED_2D = """\
+[problem]
+example = 1
+extent = 0, 1 ; 0, 1
+points = 12, 12
+a = 1 + 0.5*sin(x)*sin(y)*cos(t)
+b = 0.3
+exact = exp(-t)*sin(pi*x)*sin(pi*y)
+exact_dt = -exp(-t)*sin(pi*x)*sin(pi*y)
+
+[scheme]
+k = 3
+
+[time]
+tau = 0.05
+steps = 20
+
+[output]
+norms = linf,l2
+"""
+
 # case -> (config text or None, argv, files written)
 CASES = {
     "coeffs_json": (None, ["coeffs", "--k", "3", "--out", "coeffs.json"], ["coeffs.json"]),
@@ -71,6 +94,11 @@ CASES = {
     "solve_bootstrapped": (
         BOOTSTRAPPED,
         ["solve", "--config", "run.ini", "--k", "2", "--out", "traj.csv"],
+        ["traj.csv", "traj_states.csv", "traj.json"],
+    ),
+    "solve_2d": (
+        MANUFACTURED_2D,
+        ["solve", "--config", "run.ini", "--out", "traj.csv"],
         ["traj.csv", "traj_states.csv", "traj.json"],
     ),
     "consistency": (

@@ -12,6 +12,7 @@ from imexbdf.errors import DomainError, StepError
 from imexbdf.operators import (
     PointwiseTerm,
     SparseDiffusionOperator,
+    assemble_example3,
     dirichlet_grid,
     periodic_grid,
 )
@@ -692,3 +693,50 @@ def test_failing_solve_becomes_step_error_naming_time_and_shift():
         stepper.run(bdf_scheme(k), A, None, [np.ones(4)] * k, tau, 10, t0=t0)
     assert f"t={t_fail}" in str(info.value) and f"shift {sigma}" in str(info.value)
     assert isinstance(info.value.__cause__, RuntimeError)
+
+
+# ----------------------------------------------------------- predictor
+
+
+PREDICTOR_CASES = {
+    "1d": lambda: SparseDiffusionOperator(
+        dirichlet_grid((0.0, 1.0), 16), lambda x, t: 1.0 + 0.1 * np.cos(t), 0.0
+    ),
+    "2d-autonomous": lambda: SparseDiffusionOperator(
+        dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8)), 1.0, 0.3
+    ),
+    "spectral": lambda: assemble_example3(periodic_grid((0.0, 2.0 * np.pi), 16))[0],
+    "duck-typed": lambda: DiagOp(GRID4, 1.0),  # its solve takes three arguments
+    "2d-time-dependent": lambda: SparseDiffusionOperator(
+        dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8)),
+        lambda x, y, t: 1.0 + 0.2 * np.sin(x + y + t),
+        0.3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
+def test_predictor_called_only_by_2d_refinement(case, monkeypatch):
+    # the predictor is lazy: only a 2-d solve at a new time on an older
+    # factor calls it, once per step after the first (which factors)
+    predictions = []
+    original = stepper._StepCore.predict
+
+    def counted(self):
+        predictions.append(original(self))
+        return predictions[-1]
+
+    monkeypatch.setattr(stepper._StepCore, "predict", counted)
+    A = PREDICTOR_CASES[case]()
+    k, tau, N = 3, 0.02, 10
+    start = [np.full(A.grid.shape, 1.0 - 0.1 * j, dtype=complex) for j in range(k)]
+    traj = stepper.run(bdf_scheme(k), A, None, start, tau, N)
+    assert traj.bounded and len(traj.states) == N + 1
+    if case != "2d-time-dependent":
+        assert predictions == []
+        return
+    assert len(predictions) == N - k
+    gamma = bdf_scheme(k).gamma_f
+    for n, predicted in zip(range(k + 1, N + 1), predictions):
+        expected = sum(g * traj.states[n - 1 - i] for i, g in enumerate(gamma))
+        np.testing.assert_allclose(predicted, expected, rtol=1e-14, atol=1e-15)

@@ -20,12 +20,14 @@ import scipy.sparse as sp
 import sympy
 
 from imexbdf import operators as ops
+from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import (
     CoercivityError,
     ConfigError,
     DomainError,
     UnsupportedOperationError,
 )
+from imexbdf.imex_stepper import run
 from imexbdf.stability import stability_constant
 
 
@@ -221,6 +223,70 @@ def test_2d_new_shift_refactorizes():
     u = op.shifted_solve(0.5, 6.0, r)
     assert op.factorization_count == base + 1
     np.testing.assert_allclose(u, _fresh_shifted_solve(op, 0.5, 6.0, r), rtol=1e-12)
+
+def _example1_2d(n):
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (n, n))
+    coeff = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(t)
+    return ops.assemble_example1(g, coeff, lambda x, y, t: 0.3 * coeff(x, y, t))
+
+class FreshSolve:
+    """``op``'s shifted solve by a fresh ``splu`` on every call; it is
+    duck-typed, so ``run`` passes it no predictor."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def shifted_solve(self, t, sigma, r):
+        return _fresh_shifted_solve(self.op, t, sigma, r)
+
+def _count_factor_solves(monkeypatch) -> list:
+    """Patch ``operators.splu``; the list gets one entry per factor solve."""
+    solves = []
+
+    class Counted:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs):
+            solves.append(rhs.size)
+            return self.factor.solve(rhs)
+
+    monkeypatch.setattr(ops, "splu", lambda *args, **kw: Counted(sp.linalg.splu(*args, **kw)))
+    return solves
+
+def test_2d_march_from_the_predictor_matches_fresh_factors(monkeypatch):
+    # every step of a time-dependent example-1 march refines on the
+    # first factor, starting from the stepper's extrapolated state, and
+    # lands where a fresh factor at each step would
+    k, tau, N = 3, 0.01, 24
+    op, term = _example1_2d(16)
+    X, Y = op.grid.meshes()
+    start = [math.exp(-j * tau) * np.sin(np.pi * X) * np.sin(np.pi * Y) for j in range(k)]
+    calls = []
+    solve = op.shifted_solve
+
+    def recording(t, sigma, r, predict=None):
+        calls.append((t, sigma, r, predict))
+        return solve(t, sigma, r, predict)
+
+    monkeypatch.setattr(op, "shifted_solve", recording)
+    solves = _count_factor_solves(monkeypatch)
+    traj = run(bdf_scheme(k), op, term, start, tau, N)
+    ref_op, ref_term = _example1_2d(16)
+    ref = run(bdf_scheme(k), FreshSolve(ref_op), ref_term, start, tau, N)
+    assert traj.bounded and len(traj.states) == N + 1
+    for u, v in zip(traj.states, ref.states):
+        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    assert op.factorization_count == 1
+    assert len(calls) == N - k + 1 and all(predict is not None for *_, predict in calls)
+    # the same solves without the predictor take more factor solves
+    with_predict = len(solves)
+    solves.clear()
+    plain_op, _ = _example1_2d(16)
+    for t, sigma, r, _ in calls:
+        plain_op.shifted_solve(t, sigma, r)
+    assert plain_op.factorization_count == 1
+    assert with_predict < len(solves)
 
 def test_operator_time_continuity():
     g = ops.dirichlet_grid((0.0, 1.0), 20)
