@@ -53,7 +53,7 @@ from .errors import (
     ReportError,
     StepError,
 )
-from .imex_stepper import bootstrap_starting_values, make_starting_values, run
+from .imex_stepper import bootstrap_starting_values, run
 from .norms import parse_norm_token, spatial_norm
 from .stability import stability_report, von_neumann_sweep
 
@@ -162,9 +162,9 @@ def _cmd_stability(args) -> int:
     if args.phi is not None:
         if not args.rho_count >= 1:
             raise ConfigError(f"--rho-count must be >= 1, got {args.rho_count}")
-        if not 0.0 < args.rho_min <= args.rho_max:
+        if not 0.0 < args.rho_min <= args.rho_max < math.inf:
             raise ConfigError(
-                f"need 0 < --rho-min <= --rho-max, got {args.rho_min}, {args.rho_max}"
+                f"need 0 < --rho-min <= --rho-max < inf, got {args.rho_min}, {args.rho_max}"
             )
         rho_grid = np.geomspace(args.rho_min, args.rho_max, args.rho_count)
         sweep = von_neumann_sweep(

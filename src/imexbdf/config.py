@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -171,8 +172,8 @@ def _parse_extent(text: str) -> tuple[tuple[float, float], ...]:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigError(f"non-numeric extent {chunk.strip()!r}") from None
-        if hi <= lo:
-            raise ConfigError(f"empty extent ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"extent ({lo}, {hi}) must be finite and nonempty")
         axes.append((lo, hi))
     if not 1 <= len(axes) <= 2:
         raise ConfigError("extent must list 1 or 2 axes separated by ';'")
@@ -199,7 +200,9 @@ def _get_float(raw: dict, section: str, key: str, default=None, positive=False):
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {text!r}") from None
+        value = math.nan  # reported below
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {text!r}")
     if positive and value <= 0.0:
         raise ConfigError(f"{section}.{key} must be positive, got {value}")
     return value

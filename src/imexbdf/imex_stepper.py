@@ -39,6 +39,8 @@ from .errors import DomainError, StepError
 from .operators import LinearOperator
 
 DIVERGENCE_FACTOR = 1e8  # relative overflow guard for blow-up flagging
+# the bootstrap keeps every substep state; a longer ladder is refused
+_MAX_BOOTSTRAP_SUBSTEPS = 10**5
 
 
 def _state(u) -> np.ndarray:
@@ -74,7 +76,6 @@ class Trajectory:
     tau: float
     times: np.ndarray
     states: list[np.ndarray]
-    grid: object
     blow_up: int | None = None
 
     @property
@@ -236,13 +237,7 @@ def run(
             explicit[-1] = explicit_value(t_n, u_n)
 
     times = t0 + tau * np.arange(len(states))
-    return Trajectory(
-        tau=tau,
-        times=times,
-        states=states,
-        grid=getattr(A, "grid", None),
-        blow_up=blow_up,
-    )
+    return Trajectory(tau=tau, times=times, states=states, blow_up=blow_up)
 
 
 def make_starting_values(exact_solution, scheme: BdfScheme, tau: float):
@@ -257,7 +252,9 @@ def bootstrap_starting_values(scheme: BdfScheme, A, B, u0, tau: float):
     The substep size tau_sub = max(tau^(k+1), 1e-12*tau) makes the
     bootstrap error O(tau^(k+1)), below the scheme's own accuracy.  The
     cost grows like tau^(-k), so this is meant for moderate step sizes;
-    manufactured-solution studies should use make_starting_values.
+    more than _MAX_BOOTSTRAP_SUBSTEPS substeps in all raise
+    ``DomainError`` before any solve.  Manufactured-solution studies
+    should use make_starting_values.
     """
     k = scheme.k
     values = [_state(u0)]
@@ -266,6 +263,11 @@ def bootstrap_starting_values(scheme: BdfScheme, A, B, u0, tau: float):
     euler = bdf_scheme(1)
     tau_sub = max(tau ** (k + 1), 1e-12 * tau)
     per_interval = max(1, round(tau / tau_sub))
+    if (k - 1) * per_interval > _MAX_BOOTSTRAP_SUBSTEPS:
+        raise DomainError(
+            f"bootstrap needs {(k - 1) * per_interval} backward-Euler substeps, "
+            f"over {_MAX_BOOTSTRAP_SUBSTEPS}; give an exact solution or a coarser tau"
+        )
     tau_sub = tau / per_interval  # land on the coarse nodes exactly
     current = values[0]
     for j in range(k - 1):

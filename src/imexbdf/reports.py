@@ -185,7 +185,7 @@ def consistency_rows(result: ConsistencyResult):
 def convergence_payload(report: ConvergenceReport) -> dict:
     return to_jsonable({
         "k": report.k,
-        "expected_order": report.expected_order,
+        "expected_order": report.k,
         "norms": report.norm_labels,
         "rows": report.rows,
         "fits": report.fits,

@@ -11,9 +11,8 @@ Three views of the same stability question live here:
   von Neumann root test for the scalar rotated problem
   u' + rho e^{i phi} u = 0.
 
-``numerical_range_boundary`` samples the boundary of the numerical range
-(one batched ``eigh``, uncached); neither the constant nor the angle
-check uses it.
+No boundary of the numerical range is sampled: the constant and the
+angle check both read rho = sup |Im z| / Re z off that one eigenproblem.
 """
 
 from __future__ import annotations
@@ -126,31 +125,6 @@ def _as_square_matrix(A) -> np.ndarray:
     return M
 
 
-def _scaled_for_overflow(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M, 1.0), or (M * 2**-512, 2**512) when the entries are near
-    overflow, where the eigenvalues of H and K may exceed the double range
-    though the entries do not.  The scaling is exact, rho and the boundary's shape
-    are scale invariant, and an even power of two scales the Cholesky
-    factor of H exactly; every other matrix is left as it is."""
-    big = max(np.abs(M.real).max(), np.abs(M.imag).max())
-    if big > 0.25 * np.finfo(float).max / M.shape[0]:
-        return M * 2.0**-512, 2.0**512
-    return M, 1.0
-
-
-def _coercive_hermitian_part(M: np.ndarray) -> np.ndarray:
-    """H = (M + M*)/2, checked to be positive definite.  Halving each
-    term first is exact outside the subnormal range and keeps H finite
-    for any finite M."""
-    herm = 0.5 * M + 0.5 * M.conj().T
-    eigs = np.linalg.eigvalsh(herm)
-    # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
-    # may be a zero, and a zero makes the constant meaningless (NaN fails too)
-    if not eigs[0] > M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
-        raise CoercivityError("Hermitian part is not positive definite")
-    return herm
-
-
 def _max_skew_ratio(A) -> float:
     """rho = sup |Im z| / Re z over the numerical range of a coercive matrix.
 
@@ -158,8 +132,22 @@ def _max_skew_ratio(A) -> float:
     Im z = v*Kv, so Im z / Re z ranges exactly over the eigenvalues mu of
     the Hermitian-definite pencil K x = mu H x, and rho = max |mu|.
     """
-    M, _ = _scaled_for_overflow(_as_square_matrix(A))
-    herm = _coercive_hermitian_part(M)
+    M = _as_square_matrix(A)
+    # near overflow the eigenvalues of H and K may exceed the double range
+    # though the entries do not; the scaling is exact, rho is scale
+    # invariant, and an even power of two scales the Cholesky factor of H
+    # exactly
+    big = max(np.abs(M.real).max(), np.abs(M.imag).max())
+    if big > 0.25 * np.finfo(float).max / M.shape[0]:
+        M = M * 2.0**-512
+    # halving each term first is exact outside the subnormal range and
+    # keeps H and K finite for any finite M
+    herm = 0.5 * M + 0.5 * M.conj().T
+    eigs = np.linalg.eigvalsh(herm)
+    # an eigenvalue within the rounding error n eps ||H||_2 of eigvalsh
+    # may be a zero, and a zero makes the constant meaningless (NaN fails too)
+    if not eigs[0] > M.shape[0] * np.finfo(float).eps * np.abs(eigs).max():
+        raise CoercivityError("Hermitian part is not positive definite")
     skew = 0.5j * M.conj().T - 0.5j * M
     try:
         mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
@@ -171,36 +159,6 @@ def _max_skew_ratio(A) -> float:
     if not math.isfinite(rho):
         raise ComputationError("generalized eigenvalues of the matrix are not finite")
     return rho
-
-
-def numerical_range_boundary(A, n_angles: int = 720) -> np.ndarray:
-    """Boundary samples of the numerical range {<Av,v>/<v,v>}.
-
-    For each direction theta, the extreme eigenvector of the Hermitian
-    part of e^{-i theta} A is a support point of the (convex) numerical
-    range; its Rayleigh quotient under A is a boundary point.  Returns
-    the boundary values at the n_angles (even) equispaced directions, as
-    a read-only array.  Nothing is cached: each call runs one batched
-    ``eigh`` of n_angles/2 Hermitian matrices.
-    """
-    M, scale = _scaled_for_overflow(_as_square_matrix(A))
-    if n_angles < 360 or n_angles % 2:
-        raise DomainError(f"n_angles must be even and at least 360, got {n_angles}")
-    _coercive_hermitian_part(M)
-    theta = 2.0 * math.pi * np.arange(n_angles // 2) / n_angles
-    phase = 0.5 * np.exp(-1j * theta)  # halved first: the sum cannot overflow
-    # stacked Hermitian parts H(theta) of the rotated matrix; because
-    # H(theta + pi) = -H(theta), the bottom eigenvector of H(theta) is the
-    # support vector of direction theta + pi, so half the directions suffice
-    stack = phase[:, None, None] * M + np.conj(phase)[:, None, None] * M.conj().T
-    _, vecs = np.linalg.eigh(stack)
-    support = np.concatenate([vecs[:, :, -1], vecs[:, :, 0]])
-    with np.errstate(over="ignore"):  # an overflow is raised as ComputationError below
-        boundary = np.einsum("tj,jk,tk->t", support.conj(), M, support) * scale
-    if not np.isfinite(boundary).all():
-        raise ComputationError("numerical range overflows")
-    boundary.setflags(write=False)
-    return boundary
 
 
 def stability_constant(A) -> float:
@@ -219,8 +177,8 @@ def stability_constant(A) -> float:
 class CoefficientLambda:
     """Constant for a scalar diffusion coefficient a + ib.
 
-    value is max |a+ib|/a over the grid; max_skew is max |b|/a.  The two
-    are tied by value = sqrt(1 + max_skew^2).
+    max_skew is max |b|/a over the grid, and value = sqrt(1 + max_skew^2)
+    is max |a+ib|/a.
     """
 
     value: float
@@ -234,12 +192,8 @@ def coefficient_lambda(a, b) -> CoefficientLambda:
         raise DomainError("empty coefficient field")
     if not (0.0 < av.min() and av.max() < np.inf and np.isfinite(bv).all()):  # NaN fails too
         raise CoercivityError("coefficient a must be positive and a, b finite everywhere")
-    value = float((np.hypot(av, bv) / av).max())
     max_skew = float((np.abs(bv) / av).max())
-    identity = math.hypot(1.0, max_skew)
-    if abs(value - identity) > 1e-12 * max(1.0, value):
-        raise ComputationError("ratio identity violated; coefficient fields inconsistent")
-    return CoefficientLambda(value=value, max_skew=max_skew)
+    return CoefficientLambda(value=math.hypot(1.0, max_skew), max_skew=max_skew)
 
 
 @dataclass(frozen=True)
@@ -281,10 +235,12 @@ def von_neumann_sweep(
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size == 0:
         raise DomainError("rho_grid must be a nonempty 1-d array")
-    if rho.min() <= 0.0:
-        raise DomainError("all rho values must be positive")
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    if not (rho.min() > 0.0 and rho.max() < math.inf):  # NaN fails too
+        raise DomainError("all rho values must be positive and finite")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(phi):
+        raise DomainError(f"phi must be finite, got {phi}")
     # delta_i multiplies zeta^{k-i}; one companion matrix per rho, built
     # as np.roots builds it: first row -delta_{1..k} / leading, ones on
     # the subdiagonal

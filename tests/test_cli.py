@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,36 @@ class TestThreshold:
     def test_k_two_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "threshold", "--k", "2", "--ratios", "1.0")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--k", "3", "--ratios", "nan"],
+        ["threshold", "--k", "3", "--ratios", "inf"],
+        ["stability", "--k", "3", "--phi", "nan"],
+        ["stability", "--k", "3", "--phi", "inf"],
+        ["stability", "--k", "3", "--phi", "30", "--tau", "nan"],
+        ["stability", "--k", "3", "--phi", "30", "--tau", "inf"],
+        ["stability", "--k", "3", "--phi", "30", "--rho-max", "inf"],
+        # a line of MANUFACTURED and its replacement
+        ["solve", "tau = 0.05", "tau = nan"],
+        ["solve", "tau = 0.05", "tau = inf"],
+        # without a and b the coefficients are the constants 1 and 0
+        ["solve", "a = 1 + 0.5*sin(x)\nb = 0.3 + 0.15*sin(x)", "extent = 0, nan"],
+        ["solve", "a = 1 + 0.5*sin(x)\nb = 0.3 + 0.15*sin(x)", "extent = -inf, 1"],
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", "").replace(" ", "").replace("\n", ";"),
+)
+def test_non_finite_number_exits_two(capsys, tmp_path, argv):
+    if argv[0] == "solve":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MANUFACTURED.replace(argv[1], argv[2]))
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # rejected before numpy sees it
+        code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "config error" in err
 
 
 def child_env():

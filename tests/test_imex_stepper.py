@@ -247,6 +247,17 @@ def test_bootstrap_takes_no_forcing():
             bdf_scheme(2), A, None, np.ones(4), 0.2, forcing=lambda t: np.zeros(4)
         )
 
+def test_bootstrap_refuses_a_long_ladder_before_any_solve():
+    # k = 3 at tau = 0.001 would march 2 * 10^9 backward-Euler substeps
+    class NoSolve(DiagOp):
+        def shifted_solve(self, t, sigma, r):
+            raise AssertionError("the bootstrap solved before refusing")
+
+    with pytest.raises(DomainError, match="2000000000 backward-Euler substeps"):
+        stepper.bootstrap_starting_values(
+            bdf_scheme(3), NoSolve(GRID4, 1.0), None, np.ones(4), 0.001
+        )
+
 def test_time_dependent_bootstrap_sees_global_clock():
     # A(t) must be evaluated at absolute time inside later bootstrap
     # intervals; compare against a fine direct reference

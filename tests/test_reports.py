@@ -153,7 +153,6 @@ class TestHarnessSerializers:
             norm_labels=["linf"],
             rows=[bad, row],
             fits={"linf": OrderFit(slope=2.02, residual=0.01, n_used=4)},
-            expected_order=2,
             passes={"linf": True},
             unstable_taus=[0.2],
         )
