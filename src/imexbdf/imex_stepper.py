@@ -8,12 +8,18 @@ One step solves
 so each step costs exactly one shifted linear solve.  The implicit side
 sees only A, the explicit side only B, both through the operator
 interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
-node time t_j, and reused by the k steps that need it.  ``run`` keeps
-the last k states and explicit values in two (k, *shape) buffers,
-shifted by one row per step; it validates its input once and builds a
+node time t_j, and reused by the k steps that need it.  ``run`` writes
+every state into one preallocated (N + 1, *shape) trajectory block and
+gives each step the newest-first window of the block's last k rows as
+its history; the last k explicit values sit in a (k, *shape) buffer
+shifted by one row per step.  It validates its input once and builds a
 step core of one contraction per side of the right-hand side and one
 shifted solve.  Each of its steps is an ``imex_step`` call on that core,
-which skips the checks ``imex_step`` makes on a plain history.  A
+which skips the checks ``imex_step`` makes on a plain history.  The
+blow-up guard takes one dot product per step, ||u||_2^2: max|u| <=
+||u||_2, so a state with ||u||_2 <= threshold/2 is bounded, and only a
+state that fails that test (NaN, inf and overflow all do) gets the
+exact peak test.  A
 ``LinearOperator`` also gets the step's predictor, the gamma
 extrapolation of the states, which a solve that iterates starts from
 (duck-typed operators get three arguments).  A run
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,6 +69,16 @@ def _require_finite(history) -> None:
 def _peak(u) -> float:
     # via complex128: a max over objects skips a NaN in position 0
     return float(np.abs(np.asarray(u, dtype=complex)).max())
+
+
+def _diverged(u, threshold: float) -> bool:
+    peak = _peak(u)
+    return not math.isfinite(peak) or peak > threshold
+
+
+def _check_tau(tau) -> None:
+    if not 0.0 < tau < math.inf:  # NaN fails too
+        raise DomainError(f"step size must be positive and finite, got {tau}")
 
 
 @dataclass
@@ -112,8 +129,7 @@ def imex_step(
         raise DomainError(f"history must hold exactly {k} states, got {len(history)}")
     if explicit is not None and len(explicit) != k:
         raise DomainError(f"need exactly {k} explicit values, got {len(explicit)}")
-    if tau <= 0.0:
-        raise DomainError(f"step size must be positive, got {tau}")
+    _check_tau(tau)
     hist = np.asarray(history)
     _require_finite(hist)
     return _StepCore(scheme, A, tau, hist, explicit).step(t_n, extra_rhs)
@@ -180,6 +196,8 @@ def run(
 
     Arguments and starting values (finite, or ``StepError``) are checked
     once; later rows are solves with a finite peak, so steps run unchecked.
+    ``tau`` and ``t0`` must be finite and ``divergence_threshold``, when
+    given, positive (``math.inf`` turns the magnitude guard off).
     """
     k = scheme.k
     if len(starting_values) != k:
@@ -190,12 +208,19 @@ def run(
         raise DomainError(f"N={N} must be at least k={k}")
     if forcing_mode not in ("explicit", "implicit"):
         raise DomainError(f"unknown forcing mode {forcing_mode!r}")
-    if tau <= 0.0:
-        raise DomainError(f"step size must be positive, got {tau}")
+    _check_tau(tau)
+    if not math.isfinite(t0):
+        raise DomainError(f"start time must be finite, got {t0}")
+    if divergence_threshold is not None and not divergence_threshold > 0.0:
+        raise DomainError(
+            f"divergence threshold must be positive, got {divergence_threshold}"
+        )
 
-    states = [_state(u) for u in starting_values]
-    if divergence_threshold is None:
-        divergence_threshold = DIVERGENCE_FACTOR * (1.0 + _peak(states[-1]))
+    start = np.array([_state(u) for u in starting_values])
+    _require_finite(start)
+    threshold = divergence_threshold
+    if threshold is None:
+        threshold = DIVERGENCE_FACTOR * (1.0 + _peak(start[-1]))
 
     implicit_forcing = forcing if forcing_mode == "implicit" else None
     explicit_forcing = forcing if forcing_mode == "explicit" else None
@@ -207,37 +232,47 @@ def run(
             return B.evaluate(t, u)
         return explicit_forcing(t) + B.evaluate(t, u)
 
-    # ring buffers of the last k states and explicit values, oldest
-    # first; every solve result also stays in ``states`` as its own array
-    hist = np.array(states)
-    _require_finite(hist)
+    # row n of the block is the state at t_n; step n reads rows n-k..n-1
+    block = np.empty((N + 1, *start.shape[1:]), start.dtype)
+    block[:k] = start
+    flat = block.reshape(N + 1, -1)
+    times = t0 + tau * np.arange(N + 1)
+    step_times = times[k:].tolist()
+    extras = repeat(None) if implicit_forcing is None else map(implicit_forcing, step_times)
+    # ring buffer of the last k explicit values, oldest first
     explicit = None
     if B is not None or explicit_forcing is not None:
-        values = [explicit_value(t0 + j * tau, u) for j, u in enumerate(states)]
-        explicit = np.empty(hist.shape, dtype=np.result_type(hist, *values))
+        values = [explicit_value(t, u) for t, u in zip(times[:k].tolist(), block)]
+        explicit = np.empty(start.shape, dtype=np.result_type(start, *values))
         explicit[:] = values
-    core = _StepCore(scheme, A, tau, hist, explicit)
+    core = _StepCore(scheme, A, tau, block[:k], explicit)
 
+    # max|u| <= ||u||_2, so the exact peak test runs only where ||u||_2 >
+    # threshold/2; ||u||_2^2 is the dot product of the row's real view with
+    # itself.  The bound must be a normal float, so that this sum of
+    # squares rounds relatively; object states always take the exact test.
+    half = threshold / 2
+    bound = half * half
+    fast = block.dtype != object and np.finfo(float).tiny <= bound < math.inf
+    re_im = flat.view(flat.real.dtype) if fast else None
+    # steps before shift_until add the explicit value at their node: none
+    # without an explicit side, and not the last step
+    shift_until = k if explicit is None else N
     blow_up = None
-    for n in range(k, N + 1):
-        t_n = t0 + n * tau
-        extra = implicit_forcing(t_n) if implicit_forcing is not None else None
-        u_n = imex_step(scheme, A, explicit, core, t_n, tau, extra)
-        states.append(u_n)
-        peak = _peak(u_n)
-        if not math.isfinite(peak) or peak > divergence_threshold:
+    for n, t_n, extra in zip(range(k, N + 1), step_times, extras):
+        core.hist = flat[n - k : n][::-1]
+        block[n] = imex_step(scheme, A, explicit, core, t_n, tau, extra)
+        if not (fast and (x := re_im[n]).dot(x) <= bound) and _diverged(flat[n], threshold):
             blow_up = n
             break
-        hist[:-1] = hist[1:]
-        hist[-1] = u_n
-        if explicit is not None and n < N:
+        if n < shift_until:
             # evaluated right after the solve at t_n, so an operator
             # applied by the forcing reuses the matrix assembled for it
             explicit[:-1] = explicit[1:]
-            explicit[-1] = explicit_value(t_n, u_n)
+            explicit[-1] = explicit_value(t_n, block[n])
 
-    times = t0 + tau * np.arange(len(states))
-    return Trajectory(tau=tau, times=times, states=states, blow_up=blow_up)
+    last = N if blow_up is None else blow_up
+    return Trajectory(tau, times[: last + 1], list(block[: last + 1]), blow_up)
 
 
 def make_starting_values(exact_solution, scheme: BdfScheme, tau: float):
@@ -256,6 +291,7 @@ def bootstrap_starting_values(scheme: BdfScheme, A, B, u0, tau: float):
     ``DomainError`` before any solve.  Manufactured-solution studies
     should use make_starting_values.
     """
+    _check_tau(tau)
     k = scheme.k
     values = [_state(u0)]
     if k == 1:

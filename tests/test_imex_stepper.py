@@ -397,8 +397,8 @@ def _forced_problem(shape):
 
 @pytest.mark.parametrize("shape", [(24,), (8, 8)], ids=["1d", "2d"])
 def test_run_states_do_not_alias_the_history_buffer(shape):
-    # a longer run keeps shifting the buffer after step 10; the states
-    # it returned up to there must not move
+    # states are rows of one trajectory block, read back as the next
+    # steps' history: a longer run keeps the first rows, and no two overlap
     runs = {}
     for N in (10, 20):
         A, B, start = _forced_problem(shape)
@@ -581,8 +581,9 @@ def _hand_stepped(scheme, A, B, start, tau, N, forcing=None, forcing_mode="expli
 @pytest.mark.parametrize("forcing_mode", ["explicit", "implicit"])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_run_matches_hand_stepped_imex_step_bitwise(k, forcing_mode):
-    # one step core: run's ring buffers and precomputed rows give the
-    # same bits as imex_step on freshly stacked lists
+    # one step core: run's window on its trajectory block, its explicit
+    # ring buffer and precomputed rows give the same bits as imex_step on
+    # freshly stacked lists
     g = dirichlet_grid((0.0, 1.0), 24)
     x = g.axis_nodes(0)
     a = lambda x, t: 1.0 + 0.3 * np.sin(x + 2.0 * t)
@@ -680,6 +681,100 @@ def test_run_rejects_non_finite_start_before_any_solve(bad, index):
     with pytest.raises(StepError, match="non-finite value in the state history"):
         stepper.run(bdf_scheme(3), A, B, start, 0.1, 10)
     assert A.solves == B.evaluations == 0
+
+
+BAD_ARGUMENTS = {
+    "tau-nan": {"tau": math.nan},
+    "tau-inf": {"tau": math.inf},
+    "tau-zero": {"tau": 0.0},
+    "t0-nan": {"t0": math.nan},
+    "t0-inf": {"t0": -math.inf},
+    "threshold-nan": {"divergence_threshold": math.nan},
+    "threshold-zero": {"divergence_threshold": 0.0},
+    "threshold-negative": {"divergence_threshold": -1.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_run_rejects_bad_arguments_before_any_solve(case):
+    A, B = Counting(), Counting()
+    args = {"tau": 0.1, "t0": 0.0, "divergence_threshold": None, **BAD_ARGUMENTS[case]}
+    with pytest.raises(DomainError):
+        stepper.run(bdf_scheme(2), A, B, [np.ones(4)] * 2, N=10, **args)
+    assert A.solves == B.evaluations == 0
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.1])
+def test_step_and_bootstrap_reject_bad_tau_before_any_solve(tau):
+    A = Counting()
+    with pytest.raises(DomainError):
+        stepper.imex_step(bdf_scheme(2), A, None, [np.ones(4)] * 2, 0.3, tau)
+    with pytest.raises(DomainError):
+        stepper.bootstrap_starting_values(bdf_scheme(3), A, None, np.ones(4), tau)
+    assert A.solves == 0
+
+
+class Scripted:
+    """Operator whose solves return the scripted states in turn."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def shifted_solve(self, t, sigma, r):
+        return next(self.script).copy()
+
+
+def _entries(*values):
+    return np.array(values, dtype=complex)
+
+
+BIG = np.full(4, 1e200 + 0j)  # finite, but ||u||_2^2 overflows
+GUARD_CASES = {
+    # ||u||_2 = 12 > 10/2, but max|u| = 6 stays below the threshold
+    "norm-above-half-peak-below": (10.0, np.full(4, 6.0 + 0j)),
+    "peak-just-above": (10.0, _entries(1.0, np.nextafter(10.0, math.inf), 0.0, 1.0)),
+    "peak-at-threshold": (10.0, _entries(1.0, 0.0, 10.0, 1.0)),
+    "nan-at-0": (10.0, _entries(complex(math.nan, 0.0), 1.0, 1.0, 1.0)),
+    "inf-inside": (10.0, _entries(1.0, 1.0, complex(0.0, -math.inf), 1.0)),
+    "norm-overflows-peak-below": (1e300, BIG),
+    "norm-overflows-peak-above": (1e300, _entries(1e200, 2e300, 1e200, 0.0)),
+    "guard-off-big": (math.inf, BIG),
+    "guard-off-nan": (math.inf, _entries(1.0, 1.0, 1.0, complex(0.0, math.nan))),
+    "guard-off-inf": (math.inf, _entries(1.0, math.inf, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_norm_guard_flags_what_the_peak_rule_flags(case):
+    # the guard's norm test may only skip the exact peak test, never
+    # change its verdict
+    threshold, bad = GUARD_CASES[case]
+    benign = np.full(4, 0.5 + 0.5j)
+    script = [benign, benign, bad, benign, benign]
+    k, N = 2, 1 + len(script)
+    traj = stepper.run(
+        bdf_scheme(k), Scripted(script), None, [benign] * k, 0.1, N,
+        divergence_threshold=threshold,
+    )
+    peaks = [stepper._peak(u) for u in [benign] * k + script]
+    flagged = [n for n, p in enumerate(peaks) if not (math.isfinite(p) and p <= threshold)]
+    expected = flagged[0] if flagged else None
+    assert traj.blow_up == expected
+    assert len(traj.states) == (N if expected is None else expected) + 1
+    if expected is not None:
+        np.testing.assert_array_equal(traj.final_state, bad)
+
+
+@pytest.mark.parametrize("dtype", ["complex", "mpf"])
+def test_run_copies_starting_values(dtype):
+    make = complex if dtype == "complex" else mp.mpf
+    start = [np.array([make(1.0), make(-0.5), make(0.25)]) for _ in range(2)]
+    traj = stepper.run(bdf_scheme(2), ScalarOp(2.0), ScaleTerm(0.3), start, 0.05, 8)
+    for u in start:
+        u[:] = make(7.0)
+    assert list(traj.states[0]) == [1.0, -0.5, 0.25]
+    if dtype == "mpf":
+        assert all(isinstance(x, mp.mpf) for u in traj.states for x in u)
 
 
 class FailingSolve(DiagOp):
