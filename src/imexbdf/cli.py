@@ -54,7 +54,7 @@ from .errors import (
     StepError,
 )
 from .imex_stepper import bootstrap_starting_values, run
-from .norms import parse_norm_token, spatial_norm
+from .norms import _block_rows, parse_norm_token, spatial_norms
 from .stability import stability_report, von_neumann_sweep
 
 
@@ -236,15 +236,18 @@ def _cmd_solve(args) -> int:
     header = ["n", "t"] + labels
     if built.exact is not None:
         header += [f"err_{lab}" for lab in labels]
-    main_rows = []
-    for n in recorded:
-        state = traj.states[n]
-        row = [n, traj.times[n]]
-        row += [spatial_norm(state, kind, built.grid) for kind in kinds]
+
+    def norm_rows(indices):
+        """Per state: its norms, then (with an exact solution) its errors'."""
+        states = np.array([traj.states[n] for n in indices])
+        stacks = [states]
         if built.exact is not None:
-            err = state - built.exact(traj.times[n])
-            row += [spatial_norm(err, kind, built.grid) for kind in kinds]
-        main_rows.append(row)
+            stacks.append(states - [built.exact(traj.times[n]) for n in indices])
+        return zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
+
+    rows = _block_rows(built.grid)
+    blocks = (recorded[s : s + rows] for s in range(0, len(recorded), rows))
+    main_rows = [[n, traj.times[n], *r] for b in blocks for n, r in zip(b, norm_rows(b))]
     reports.write_csv(csv_path, header, main_rows)
 
     state_header = ["n", "t"] + [f"{p}{i}" for i in range(built.grid.size) for p in ("re", "im")]
@@ -255,7 +258,7 @@ def _cmd_solve(args) -> int:
     ]
     reports.write_csv(states_path, state_header, state_rows)
 
-    final = traj.states[-1]
+    (final,) = norm_rows([len(traj.states) - 1])
     payload = {
         **_echo(cfg),
         "k": scheme.k,
@@ -265,16 +268,11 @@ def _cmd_solve(args) -> int:
         "blow_up": traj.blow_up,
         "factorizations": built.operator.factorization_count,
         "final_time": traj.times[-1],
-        "final_norms": {
-            lab: spatial_norm(final, kind, built.grid) for kind, lab in zip(kinds, labels)
-        },
+        "final_norms": dict(zip(labels, final)),
         "outputs": {"csv": csv_path, "states_csv": states_path, "json": json_path},
     }
     if built.exact is not None:
-        err = final - built.exact(traj.times[-1])
-        payload["final_errors"] = {
-            lab: spatial_norm(err, kind, built.grid) for kind, lab in zip(kinds, labels)
-        }
+        payload["final_errors"] = dict(zip(labels, final[len(kinds) :]))
     reports.write_json(json_path, payload)
 
     if traj.blow_up is not None:

@@ -21,13 +21,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-import mpmath as mp
 import numpy as np
 
 from .bdf_coeffs import BdfScheme
 from .errors import DomainError, FitError
-from .imex_stepper import _newest_first, make_starting_values, run
-from .norms import LINF, NormKind, lp_time_norm, parse_norm_token, spatial_norm
+from .imex_stepper import _check_tau, _newest_first, make_starting_values, run
+from .norms import LINF, NormKind, _block_rows, lp_time_norm, parse_norm_token, spatial_norms
 from .operators import Grid, SparseDiffusionOperator, dirichlet_grid
 from .stability import a_alpha_angle
 
@@ -112,20 +111,19 @@ def consistency_errors(
     k = scheme.k
     if N < k:
         raise DomainError(f"N={N} must be at least k={k}")
-    if tau <= 0.0:
-        raise DomainError(f"step size must be positive, got {tau}")
+    _check_tau(tau)
     grid = problem.grid
     u_star = np.array([problem.exact(n * tau) for n in range(N + 1)], dtype=complex)
     B = problem.nonlinear
     if B is not None:
         b_star = np.array([B.evaluate(n * tau, u) for n, u in enumerate(u_star)])
-    norms_seq = []
-    for n in range(k, N + 1):
-        d = (scheme.delta_f / tau) @ _newest_first(u_star[n - k : n + 1])
+    defects = np.empty((N + 1 - k, grid.size), dtype=complex)
+    for n, d in enumerate(defects, k):
+        d[:] = (scheme.delta_f / tau) @ _newest_first(u_star[n - k : n + 1])
         d -= np.asarray(problem.exact_dt(n * tau), dtype=complex).ravel()
         if B is not None:
             d += b_star[n].ravel() - scheme.gamma_f @ _newest_first(b_star[n - k : n])
-        norms_seq.append(spatial_norm(d.reshape(grid.shape), kind, grid))
+    norms_seq = spatial_norms(defects.reshape(-1, *grid.shape), kind, grid)
     floor = np.finfo(float).eps * np.abs(scheme.delta_f).sum() / tau * np.abs(u_star).max()
     return ConsistencyResult(
         scheme_k=k,
@@ -241,27 +239,26 @@ def convergence_study(
             )
             report.unstable_taus.append(tau)
             continue
-        errors = [
-            np.asarray(u, dtype=complex) - np.asarray(problem.exact(n * tau), complex)
-            for n, u in enumerate(traj.states)
-        ]
-        max_errors, l2_errors, dq_errors = {}, {}, {}
-        for kind, lab in zip(kinds, labels):
-            per_step = [spatial_norm(e, kind, problem.grid) for e in errors]
-            max_errors[lab] = max(per_step)
-            l2_errors[lab] = lp_time_norm(per_step, tau, 2.0)
-            quotients = [
-                spatial_norm((b - a) / tau, kind, problem.grid)
-                for a, b in zip(errors[:-1], errors[1:])
-            ]
-            dq_errors[lab] = lp_time_norm(quotients, tau, 2.0)
+        # error rows a block at a time; a block's difference quotients
+        # start from the last error of the block before
+        per_step, quotients = {lab: [] for lab in labels}, {lab: [] for lab in labels}
+        rows, last = _block_rows(problem.grid), np.empty((0, *problem.grid.shape))
+        for s in range(0, len(traj.states), rows):
+            errors = np.array(traj.states[s : s + rows], dtype=complex)
+            for n, e in enumerate(errors, s):
+                e -= problem.exact(n * tau)
+            dq = np.diff(np.concatenate((last, errors)), axis=0) / tau
+            last = errors[-1:]
+            for kind, lab in zip(kinds, labels):
+                per_step[lab] += spatial_norms(errors, kind, problem.grid)
+                quotients[lab] += spatial_norms(dq, kind, problem.grid)
         report.rows.append(
             ConvergenceRow(
                 tau=tau,
                 stable=True,
-                max_errors=max_errors,
-                time_l2_errors=l2_errors,
-                dq_time_l2=dq_errors,
+                max_errors={lab: max(per_step[lab]) for lab in labels},
+                time_l2_errors={lab: lp_time_norm(per_step[lab], tau, 2.0) for lab in labels},
+                dq_time_l2={lab: lp_time_norm(quotients[lab], tau, 2.0) for lab in labels},
             )
         )
     return _fit_orders(report)
@@ -290,6 +287,8 @@ def scalar_convergence_study(
     the k = 5, 6 slopes).  Errors are measured against the exact
     exponential before rounding to float.
     """
+    import mpmath as mp  # only this study needs it; it is slow to import
+
     taus = _ladder(tau_list)
     k = scheme.k
     report = ConvergenceReport(k=k, norm_labels=["abs"])

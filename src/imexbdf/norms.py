@@ -7,8 +7,12 @@ Sums of kinds realize intersection-space norms as plain sums of the
 parts.  Gradients are spectral on periodic grids and second-order
 centered differences with the zero boundary values on Dirichlet grids.
 
-Accumulation uses compensated summation so that tiny errors measured
-against 1e-10-size temporal residuals do not drown in round-off.
+``spatial_norms`` reduces a stack of states (m, *grid.shape) over the
+trailing grid axes, with one correctly rounded ``math.fsum`` per state,
+so a state's norm does not depend on its stack; compensated sums keep
+errors near 1e-10-size temporal residuals clear of round-off.  An L^q
+sum that overflows on finite entries is taken again on v * 2^-e, with
+2^e above max|v|, and scaled back.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .imex_stepper import _check_tau
 from .operators import PERIODIC, Grid, fourier_frequencies, grid_gradient
 
 
@@ -91,11 +96,22 @@ def _parse_q(text: str, token: str) -> float:
     return q
 
 
+# Trajectories are passed to ``spatial_norms`` in blocks of about this
+# many grid values, so that memory does not grow with the step count.
+_BLOCK_ELEMENTS = 2**15
+
+
+def _block_rows(grid: Grid) -> int:
+    return max(1, _BLOCK_ELEMENTS // grid.size)
+
+
 def _gradient_magnitude(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad v| at the nodes of each state of a (m, *grid.shape) stack."""
     if grid.boundary == PERIODIC:
-        vhat = np.fft.fftn(v)
+        axes = tuple(range(-grid.ndim, 0))
+        vhat = np.fft.fftn(v, axes=axes)
         freqs = fourier_frequencies(grid)
-        comps = [np.fft.ifftn(1j * xi * vhat) for xi in freqs]
+        comps = [np.fft.ifftn(1j * xi * vhat, axes=axes) for xi in freqs]
     else:
         comps = grid_gradient(v, grid)
     if grid.ndim == 1:
@@ -103,34 +119,70 @@ def _gradient_magnitude(v: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
 
 
-def _lq_of(values: np.ndarray, grid: Grid, q: float) -> float:
-    mag = np.abs(values)
+def _fsum(values) -> float:
+    try:  # inf, not OverflowError, when finite terms overflow the sum
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _rescaled(norm_of, values: np.ndarray) -> float:
+    """A positively homogeneous ``norm_of`` that overflowed on values:
+    taken on values * 2^-e, with 2^e above max(values), and scaled back."""
+    e = math.frexp(float(values.max()))[1]
+    return math.ldexp(norm_of(np.ldexp(values, -e)), e)
+
+
+def _lq_rows(mag: np.ndarray, weight: float, q: float) -> list[float]:
+    """Weighted L^q norm of each row of a (m, size) block of magnitudes."""
     if q == math.inf:
-        return float(mag.max())
-    weight = float(np.prod(grid.h))
-    total = math.fsum((mag.ravel() ** q).tolist())
-    return (weight * total) ** (1.0 / q)
+        return mag.max(axis=1).tolist()
+
+    def lq(powers):
+        return (weight * _fsum(powers.tolist())) ** (1.0 / q)
+
+    with np.errstate(over="ignore"):  # rows that overflow are rescaled
+        norms = [lq(p) for p in mag**q]
+    for i in np.flatnonzero(np.isinf(norms)):
+        norms[i] = _rescaled(lambda row: lq(row**q), mag[i])
+    return norms
+
+
+def _quadratic_mean(pieces) -> float:
+    def mean(p):
+        return math.sqrt(_fsum([x * x for x in p]))
+
+    norm = mean(pieces)
+    return _rescaled(mean, np.array(pieces)) if norm == math.inf else norm
+
+
+def spatial_norms(states, kind: NormKind, grid: Grid) -> list[float]:
+    """Evaluate one norm kind of each state of a (m, *grid.shape) stack,
+    reducing over the trailing grid axes only."""
+    block = np.asarray(states)
+    if block.shape[1:] != grid.shape:
+        raise DomainError(f"state shape {block.shape[1:]} does not match grid {grid.shape}")
+    weight = math.prod(grid.h)
+    mags = {}  # |v| and |grad v|, each formed once
+    columns = []
+    for part in kind.parts:
+        if part.derivative not in mags:
+            mag = (
+                _gradient_magnitude(block.astype(complex, copy=False), grid)
+                if part.derivative
+                else np.abs(block)
+            )
+            mags[part.derivative] = mag.reshape(len(block), grid.size)
+        columns.append(_lq_rows(mags[part.derivative], weight, part.q))
+    if len(columns) == 1:
+        return columns[0]
+    combine = _quadratic_mean if kind.quadratic_mean else _fsum
+    return [combine(pieces) for pieces in zip(*columns)]
 
 
 def spatial_norm(v, kind: NormKind, grid: Grid) -> float:
-    """Evaluate one norm kind of a grid state."""
-    state = np.asarray(v)
-    if state.shape != grid.shape:
-        raise DomainError(
-            f"state shape {state.shape} does not match grid {grid.shape}"
-        )
-    pieces = []
-    grad_mag = None
-    for part in kind.parts:
-        if part.derivative:
-            if grad_mag is None:
-                grad_mag = _gradient_magnitude(state.astype(complex), grid)
-            pieces.append(_lq_of(grad_mag, grid, part.q))
-        else:
-            pieces.append(_lq_of(state, grid, part.q))
-    if kind.quadratic_mean:
-        return math.sqrt(math.fsum(p * p for p in pieces))
-    return math.fsum(pieces)
+    """Evaluate one norm kind of a grid state: a one-row ``spatial_norms``."""
+    return spatial_norms(np.asarray(v)[None], kind, grid)[0]
 
 
 def lp_time_norm(values, tau: float, p: float) -> float:
@@ -139,8 +191,7 @@ def lp_time_norm(values, tau: float, p: float) -> float:
     seq = [float(x) for x in values]
     if not seq:
         raise DomainError("empty sequence has no time norm")
-    if tau <= 0.0:
-        raise DomainError(f"step size must be positive, got {tau}")
+    _check_tau(tau)
     if any(not math.isfinite(x) for x in seq):
         raise DomainError("non-finite value in time-norm sequence")
     if p == math.inf:

@@ -75,11 +75,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.npts
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return int(np.prod(self.npts))
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         out = []
         for (lo, hi), n in zip(self.extents, self.npts):
@@ -534,30 +534,32 @@ class SpectralDiagonalOperator(LinearOperator):
 
 
 def _pad(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """The state on the padded index set: extended by the homogeneous
-    boundary values on Dirichlet grids, unchanged on periodic grids."""
+    """A state (or a stack, on its trailing grid axes) on the padded index
+    set: extended by the homogeneous boundary values on Dirichlet grids."""
     if grid.boundary == PERIODIC:
         return v
-    padded = np.zeros(tuple(n + 2 for n in v.shape), dtype=v.dtype)
-    padded[(slice(1, -1),) * grid.ndim] = v
+    lead = v.shape[: v.ndim - grid.ndim]
+    padded = np.zeros(lead + tuple(n + 2 for n in grid.shape), dtype=v.dtype)
+    padded[(..., *(slice(1, -1),) * grid.ndim)] = v
     return padded
 
 
 def _centered_difference(w: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """(w_{j+1} - w_{j-1}) / 2h along ``axis`` at the grid nodes, for w
-    on the padded index set of ``_pad`` (wraparound on periodic grids)."""
+    """(w_{j+1} - w_{j-1}) / 2h along grid ``axis`` at the grid nodes, for
+    w (or a stack) on the padded index set of ``_pad`` (periodic: wraps)."""
     h = grid.h[axis]
+    axis -= grid.ndim  # counted from the end
     if grid.boundary == PERIODIC:
         return (np.roll(w, -1, axis) - np.roll(w, 1, axis)) / (2.0 * h)
     hi = [slice(1, -1)] * grid.ndim
     lo = list(hi)
     hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-    return (w[tuple(hi)] - w[tuple(lo)]) / (2.0 * h)
+    return (w[(..., *hi)] - w[(..., *lo)]) / (2.0 * h)
 
 
 def grid_gradient(v: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Per-axis centered-difference gradients of a state at the grid
-    nodes, using the homogeneous boundary values on Dirichlet grids."""
+    """Per-axis centered-difference gradients of a state (or a stack) at
+    the grid nodes, using the homogeneous boundary values on Dirichlet grids."""
     padded = _pad(v, grid)
     return [_centered_difference(padded, grid, axis) for axis in range(grid.ndim)]
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from imexbdf import convergence_harness as harness
+from imexbdf import norms
 from imexbdf import operators as ops
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import DomainError, FitError
-from imexbdf.norms import L2, spatial_norm
+from imexbdf.norms import H1, L2, LINF, W1INF, lp_time_norm, spatial_norm
 from imexbdf.operators import (
     PointwiseTerm,
     SparseDiffusionOperator,
@@ -229,6 +230,16 @@ def test_consistency_validates_inputs():
     with pytest.raises(DomainError):
         harness.consistency_errors(prob, bdf_scheme(2), -0.1, 10)
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_consistency_rejects_non_finite_tau_before_any_evaluation(tau):
+    def never(t):
+        raise AssertionError("evaluated the exact solution")
+
+    prob = spectral_decay_problem(16)
+    prob = harness.ManufacturedProblem(prob.grid, prob.operator, prob.nonlinear, never, never)
+    with pytest.raises(DomainError):
+        harness.consistency_errors(prob, bdf_scheme(2), tau, 4)
+
 
 # ------------------------------------------------------- order fitting
 
@@ -334,6 +345,30 @@ def test_dq_time_l2_matches_direct_quotients():
         ]
         direct = math.sqrt(row.tau * math.fsum(q * q for q in quotients))
         assert row.dq_time_l2["l2"] == pytest.approx(direct, rel=1e-12)
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["rows-1", "rows-3", "default"])
+def test_convergence_study_blocks_match_per_state_norms_bitwise(block, monkeypatch):
+    # the study takes its norms a block of error rows at a time; with any
+    # block size they equal the per-state norms of the whole trajectory
+    prob = diffusion_problem(32)
+    if block is not None:
+        monkeypatch.setattr(norms, "_BLOCK_ELEMENTS", block * prob.grid.size)
+    scheme, final_time, taus = bdf_scheme(3), 0.4, [0.05, 0.025, 0.0125]
+    kinds = [LINF, L2, W1INF, H1]
+    report = harness.convergence_study(prob, scheme, taus, final_time, norms=kinds)
+    for row in report.rows:
+        N = round(final_time / row.tau)
+        traj = prob.solve(scheme, row.tau, N)
+        errors = [u - prob.exact(n * row.tau) for n, u in enumerate(traj.states)]
+        for kind in kinds:
+            per_step = [spatial_norm(e, kind, prob.grid) for e in errors]
+            quotients = [
+                spatial_norm((b - a) / row.tau, kind, prob.grid)
+                for a, b in zip(errors[:-1], errors[1:])
+            ]
+            assert row.max_errors[kind.label] == max(per_step)
+            assert row.time_l2_errors[kind.label] == lp_time_norm(per_step, row.tau, 2.0)
+            assert row.dq_time_l2[kind.label] == lp_time_norm(quotients, row.tau, 2.0)
 
 def test_exact_injection_polynomial_mode():
     # polynomial-in-t single-mode solution is reproduced to 1e-10

@@ -15,6 +15,7 @@ import tempfile
 
 import pytest
 
+from imexbdf import norms
 from imexbdf.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -39,6 +40,9 @@ steps = 20
 [output]
 norms = linf,l2
 """
+
+# the same with a derivative norm: pins the gradient part of the error norms
+MANUFACTURED_W1 = MANUFACTURED.replace("norms = linf,l2", "norms = linf,l2,w1inf")
 
 # the same without an exact solution: solve bootstraps its starting values
 BOOTSTRAPPED = "\n".join(
@@ -112,6 +116,12 @@ CASES = {
          "--out", "conv"],
         ["conv.csv", "conv.json"],
     ),
+    "converge_w1": (
+        MANUFACTURED_W1,
+        ["converge", "--config", "run.ini", "--k", "2", "--tau0", "0.1", "--levels", "3",
+         "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
     "threshold": (
         None,
         ["threshold", "--k", "3", "--nodes", "8", "--steps", "200", "--out", "thr"],
@@ -132,6 +142,16 @@ def run_case(name, workdir, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    for fname, data in run_case(name, tmp_path, monkeypatch).items():
+        assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"
+
+
+@pytest.mark.parametrize("name", ["solve", "solve_2d", "converge_w1"])
+def test_norm_blocks_do_not_change_output(name, tmp_path, monkeypatch):
+    # solve and converge take their norms a block of states at a time;
+    # blocks of 3 rows (1 on the 12 x 12 grid) give the same bytes as
+    # one block for all states
+    monkeypatch.setattr(norms, "_BLOCK_ELEMENTS", 3 * 16)
     for fname, data in run_case(name, tmp_path, monkeypatch).items():
         assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"
 

@@ -1,13 +1,14 @@
 """Norm token grammar and quadrature tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from imexbdf import norms
 from imexbdf.errors import ConfigError, DomainError
-from imexbdf.operators import dirichlet_grid, periodic_grid
+from imexbdf.operators import dirichlet_grid, fourier_frequencies, periodic_grid
 
 
 # ------------------------------------------------------------- tokens
@@ -117,6 +118,101 @@ def test_norm_axioms_random_states():
             assert nsum <= nu + nv + 1e-12 * (nu + nv)
 
 
+# ------------------------------------------------ stacks of states
+
+
+def _reference_gradient(v, g):
+    """Per-axis gradient of one state: spectral on periodic grids,
+    centered differences of the zero-padded state on Dirichlet grids."""
+    if g.boundary == "periodic":
+        vhat = np.fft.fftn(v)
+        return [np.fft.ifftn(1j * xi * vhat) for xi in fourier_frequencies(g)]
+    padded = np.pad(v, 1)
+    comps = []
+    for axis, h in enumerate(g.h):
+        hi = [slice(1, -1)] * g.ndim
+        lo = list(hi)
+        hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+        comps.append((padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h))
+    return comps
+
+
+def _reference_norm(v, kind, g):
+    """One state's norm, part by part, with plain numpy and math.fsum."""
+    pieces = []
+    for part in kind.parts:
+        if part.derivative:
+            comps = _reference_gradient(v.astype(complex), g)
+            mag = abs(comps[0]) if g.ndim == 1 else np.sqrt(abs(comps[0]) ** 2 + abs(comps[1]) ** 2)
+        else:
+            mag = abs(v)
+        if part.q == math.inf:
+            pieces.append(float(mag.max()))
+        else:
+            total = math.fsum((mag**part.q).ravel().tolist())
+            pieces.append((math.prod(g.h) * total) ** (1.0 / part.q))
+    if kind.quadratic_mean:
+        return math.sqrt(math.fsum(p * p for p in pieces))
+    return math.fsum(pieces)
+
+
+STACK_GRIDS = {
+    "dirichlet-1d": dirichlet_grid((0.0, 1.0), 1000),
+    "periodic-1d": periodic_grid((0.0, 2.0 * np.pi), 1024),
+    "dirichlet-2d": dirichlet_grid([(0.0, 1.0), (0.0, 2.0)], (40, 50)),
+    "periodic-2d": periodic_grid([(0.0, 1.0), (0.0, 3.0)], (64, 32)),
+}
+STACK_KINDS = ["l2", "lq:3", "linf", "w1inf", "w1q:2", norms.H1, "l2+w1inf"]
+
+
+@pytest.mark.parametrize("name", sorted(STACK_GRIDS))
+def test_spatial_norms_match_per_state_reference_bitwise(name):
+    g = STACK_GRIDS[name]
+    C = norms._block_rows(g)
+    assert 2 <= C < 100  # so that the lengths below cross one block
+    rng = np.random.default_rng(11)
+    for m in (1, C - 1, C, C + 1):
+        stack = rng.standard_normal((m, *g.shape)) + 1j * rng.standard_normal((m, *g.shape))
+        for token in STACK_KINDS:
+            kind = token if isinstance(token, norms.NormKind) else norms.parse_norm_token(token)
+            expected = [_reference_norm(v, kind, g) for v in stack]
+            assert norms.spatial_norms(stack, kind, g) == expected, (m, kind.label)
+            assert norms.spatial_norm(stack[-1], kind, g) == expected[-1]
+
+
+def test_spatial_norms_rejects_a_state_that_is_not_a_stack():
+    g = dirichlet_grid((0.0, 1.0), 16)
+    assert norms.spatial_norms(np.ones((0, 16)), norms.L2, g) == []
+    with pytest.raises(DomainError):
+        norms.spatial_norms(np.ones(16), norms.L2, g)
+    with pytest.raises(DomainError):
+        norms.spatial_norms(np.ones((3, 17)), norms.L2, g)
+
+
+@pytest.mark.parametrize("token", ["l2", "lq:4", norms.H1], ids=["l2", "lq:4", "h1"])
+@pytest.mark.parametrize("level", [1e154, 1e200, 1e300])
+def test_lq_norms_of_huge_finite_states_do_not_overflow(token, level):
+    kind = token if isinstance(token, norms.NormKind) else norms.parse_norm_token(token)
+    g = dirichlet_grid((0.0, 1.0), 8)
+    v = np.full(8, level) * np.linspace(1.0, 2.0, 8)
+    peak = float(np.abs(v).max())
+    expected = peak * norms.spatial_norm(v / peak, kind, g)
+    small = np.linspace(-1.0, 1.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "overflow encountered" either
+        huge, unchanged = norms.spatial_norms(np.stack([v, small]), kind, g)
+    assert math.isfinite(huge)
+    assert huge == pytest.approx(expected, rel=1e-14)
+    assert unchanged == norms.spatial_norm(small, kind, g)
+
+
+def test_non_finite_states_keep_non_finite_norms():
+    g = dirichlet_grid((0.0, 1.0), 8)
+    for kind in (norms.L2, norms.LINF, norms.parse_norm_token("lq:4")):
+        assert norms.spatial_norm(np.full(8, np.inf), kind, g) == math.inf
+        assert math.isnan(norms.spatial_norm(np.full(8, np.nan), kind, g))
+
+
 # --------------------------------------------------------- time norms
 
 
@@ -152,3 +248,8 @@ def test_time_norm_rejects_empty_and_bad_input():
         norms.lp_time_norm([np.nan], 0.1, 2.0)
     with pytest.raises(DomainError):
         norms.lp_time_norm([1.0], 0.1, 1.0)
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_time_norm_rejects_non_finite_tau(tau):
+    with pytest.raises(DomainError):
+        norms.lp_time_norm([1.0, 2.0], tau, 2.0)
