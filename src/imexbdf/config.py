@@ -168,9 +168,11 @@ def _parse_extent(text: str) -> tuple[tuple[float, float], ...]:
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"extent axis {chunk.strip()!r} must be 'lo, hi'")
+        # each endpoint is a constant field expression, such as 2*pi
         try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
+            with np.errstate(all="ignore"):  # inf and nan fail the check below
+                lo, hi = (float(compile_field(p, ())()) for p in parts)
+        except (ConfigError, ArithmeticError, TypeError):
             raise ConfigError(f"non-numeric extent {chunk.strip()!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError(f"extent ({lo}, {hi}) must be finite and nonempty")

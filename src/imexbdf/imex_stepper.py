@@ -9,13 +9,16 @@ so each step costs exactly one shifted linear solve.  The implicit side
 sees only A, the explicit side only B, both through the operator
 interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
 node time t_j, and reused by the k steps that need it.  ``run`` writes
-every state into one preallocated (N + 1, *shape) trajectory block and
-gives each step the newest-first window of the block's last k rows as
-its history; the last k explicit values sit in a (k, *shape) buffer
-shifted by one row per step.  It validates its input once and builds a
-step core of one contraction per side of the right-hand side and one
-shifted solve.  Each of its steps is an ``imex_step`` call on that core,
-which skips the checks ``imex_step`` makes on a plain history.  The
+every state once, into row n of one preallocated (N + 1, *shape)
+trajectory block: the history side is contracted from the newest-first
+window of the k rows before it (a read-only strided view of the block,
+built once per run) straight into row n, the explicit side and any
+implicit forcing are added to the row, and the solve overwrites it in
+place, so a step on a cached factor makes no new array.  The last k
+explicit values sit in a (k, *shape) buffer shifted by one row per
+step.  ``run`` validates its input once and builds one step core; each
+of its steps is an ``imex_step`` call on that core, which skips the
+checks ``imex_step`` makes on a plain history.  The
 blow-up guard takes one dot product per step, ||u||_2^2: max|u| <=
 ||u||_2, so a state with ||u||_2 <= threshold/2 is bounded, and only a
 state that fails that test (NaN, inf and overflow all do) gets the
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bdf_coeffs import BdfScheme, bdf_scheme
 from .errors import DomainError, StepError
@@ -132,20 +136,23 @@ def imex_step(
     _check_tau(tau)
     hist = np.asarray(history)
     _require_finite(hist)
-    return _StepCore(scheme, A, tau, hist, explicit).step(t_n, extra_rhs)
+    core = _StepCore(scheme, A, tau, hist, explicit)
+    core.row = np.empty(hist[0].size, core.rows.dtype)
+    return core.step(t_n, extra_rhs).reshape(core.shape)
 
 
 class _StepCore:
-    """step(t_n, extra_rhs) -> u_n on views of the (k, *shape) histories
-    it is built on: two contractions with rows computed once and one
-    solve, unchecked; the histories may change in place between steps."""
+    """step(t_n, extra_rhs) -> u_n in ``row``, a flat state: the history
+    side (rows computed once) contracted from the newest-first (k, size)
+    ``hist``, plus the explicit side and forcing, solved in place.
+    ``hist`` and ``row`` are set per step and not checked."""
 
     def __init__(self, scheme: BdfScheme, A, tau: float, hist: np.ndarray, explicit):
         delta, self.A, self.shape = scheme.delta_f, A, hist.shape[1:]
         self.sigma, self.gamma = delta[0] / tau, scheme.gamma_f
         # cast once as the contraction would cast it each step
         self.rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
-        self.hist = _newest_first(hist)
+        self.hist, self.row = _newest_first(hist), None
         self.explicit = None if explicit is None else _newest_first(explicit)
         # duck-typed operators keep the three-argument solve; the predictor
         # is bound per call, as a stored bound method is a reference cycle
@@ -155,21 +162,24 @@ class _StepCore:
         """u_n to O(tau^k): the gamma extrapolation that B gets, on the states."""
         return (self.gamma @ self.hist).reshape(self.shape)
 
-    def step(self, t_n, extra_rhs):
-        rhs = self.rows @ self.hist
+    def step(self, t_n, extra_rhs) -> np.ndarray:
+        row = np.matmul(self.rows, self.hist, out=self.row)
         if self.explicit is not None:
-            rhs += self.gamma @ self.explicit
-        rhs = rhs.reshape(self.shape)
+            row += self.gamma @ self.explicit
         if extra_rhs is not None:
-            rhs = rhs + extra_rhs
+            state = row.reshape(self.shape)
+            state += extra_rhs
         try:
             if self.predicts:
-                return self.A.shifted_solve(t_n, self.sigma, rhs, self.predict)
-            return self.A.shifted_solve(t_n, self.sigma, rhs)
+                self.A._solve_in_place(t_n, self.sigma, row, self.predict)
+            else:
+                state = row.reshape(self.shape)
+                state[...] = self.A.shifted_solve(t_n, self.sigma, state)
         except Exception as exc:  # noqa: BLE001 - backend failures become StepError
             raise StepError(
                 f"shifted solve failed at t={t_n} with shift {self.sigma}: {exc}"
             ) from exc
+        return row
 
 
 def run(
@@ -246,6 +256,11 @@ def run(
         explicit = np.empty(start.shape, dtype=np.result_type(start, *values))
         explicit[:] = values
     core = _StepCore(scheme, A, tau, block[:k], explicit)
+    # window n - k is rows n-1, ..., n-k of the block: step n's history
+    stride, item = flat.strides
+    windows = as_strided(
+        flat[k - 1 :], (N - k + 1, k, flat.shape[1]), (stride, -stride, item), writeable=False
+    )
 
     # max|u| <= ||u||_2, so the exact peak test runs only where ||u||_2 >
     # threshold/2; ||u||_2^2 is the dot product of the row's real view with
@@ -259,10 +274,10 @@ def run(
     # without an explicit side, and not the last step
     shift_until = k if explicit is None else N
     blow_up = None
-    for n, t_n, extra in zip(range(k, N + 1), step_times, extras):
-        core.hist = flat[n - k : n][::-1]
-        block[n] = imex_step(scheme, A, explicit, core, t_n, tau, extra)
-        if not (fast and (x := re_im[n]).dot(x) <= bound) and _diverged(flat[n], threshold):
+    for n, t_n, extra, hist, row in zip(range(k, N + 1), step_times, extras, windows, flat[k:]):
+        core.hist, core.row = hist, row
+        imex_step(scheme, A, explicit, core, t_n, tau, extra)
+        if not (fast and (x := re_im[n]).dot(x) <= bound) and _diverged(row, threshold):
             blow_up = n
             break
         if n < shift_until:

@@ -10,9 +10,10 @@ centered differences with the zero boundary values on Dirichlet grids.
 ``spatial_norms`` reduces a stack of states (m, *grid.shape) over the
 trailing grid axes, with one correctly rounded ``math.fsum`` per state,
 so a state's norm does not depend on its stack; compensated sums keep
-errors near 1e-10-size temporal residuals clear of round-off.  An L^q
-sum that overflows on finite entries is taken again on v * 2^-e, with
-2^e above max|v|, and scaled back.
+errors near 1e-10-size temporal residuals clear of round-off.  A
+state whose power sum (or max) overflows or underflows, though the
+state is finite and nonzero, is taken again on v * 2^-e, with 2^e
+above max|v|, and scaled back.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def _parse_q(text: str, token: str) -> float:
     return q
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal positive float
+
 # Trajectories are passed to ``spatial_norms`` in blocks of about this
 # many grid values, so that memory does not grow with the step count.
 _BLOCK_ELEMENTS = 2**15
@@ -116,7 +119,17 @@ def _gradient_magnitude(v: np.ndarray, grid: Grid) -> np.ndarray:
         comps = grid_gradient(v, grid)
     if grid.ndim == 1:
         return np.abs(comps[0])
-    return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
+    with np.errstate(over="ignore", under="ignore"):  # such rows are rescaled
+        return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
+
+
+def _magnitudes(block: np.ndarray, derivative: bool, grid: Grid) -> np.ndarray:
+    """|v| or |grad v| of each state of a stack, as (m, size) rows."""
+    if derivative:
+        mag = _gradient_magnitude(block.astype(complex, copy=False), grid)
+    else:
+        mag = np.abs(block)
+    return mag.reshape(len(block), grid.size)
 
 
 def _fsum(values) -> float:
@@ -126,34 +139,44 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _rescaled(norm_of, values: np.ndarray) -> float:
-    """A positively homogeneous ``norm_of`` that overflowed on values:
-    taken on values * 2^-e, with 2^e above max(values), and scaled back."""
-    e = math.frexp(float(values.max()))[1]
-    return math.ldexp(norm_of(np.ldexp(values, -e)), e)
-
-
-def _lq_rows(mag: np.ndarray, weight: float, q: float) -> list[float]:
-    """Weighted L^q norm of each row of a (m, size) block of magnitudes."""
+def _power_sums(mag: np.ndarray, weight: float, q: float) -> list[float]:
+    """Weighted sum of mag**q over each row of a (m, size) block of
+    magnitudes; the row max for q = inf."""
     if q == math.inf:
         return mag.max(axis=1).tolist()
+    with np.errstate(over="ignore", under="ignore"):  # such rows are rescaled
+        return [weight * _fsum(p.tolist()) for p in mag**q]
 
-    def lq(powers):
-        return (weight * _fsum(powers.tolist())) ** (1.0 / q)
 
-    with np.errstate(over="ignore"):  # rows that overflow are rescaled
-        norms = [lq(p) for p in mag**q]
-    for i in np.flatnonzero(np.isinf(norms)):
-        norms[i] = _rescaled(lambda row: lq(row**q), mag[i])
+def _scale_exponent(peak: float) -> int | None:
+    """e with 2^e just above a finite nonzero ``peak``; None otherwise."""
+    return math.frexp(peak)[1] if 0.0 < peak < math.inf else None
+
+
+def _part_norms(block: np.ndarray, mag: np.ndarray, part: NormPart, weight: float, grid: Grid):
+    """One norm part of each state of a stack whose magnitudes are ``mag``.
+    A row whose power sum is not a normal positive float (it overflowed
+    or underflowed) is taken again on v * 2^-e, with 2^e above max|v|,
+    and scaled back, unless v is zero or not finite."""
+    root = 1.0 / part.q if part.q < math.inf else 1.0
+    norms = []
+    for i, total in enumerate(_power_sums(mag, weight, part.q)):
+        e = None if _TINY <= total < math.inf else _scale_exponent(float(np.abs(block[i]).max()))
+        if e is not None:
+            row = block[i : i + 1].astype(complex)
+            scaled = np.ldexp(row.view(float), -e).view(complex)  # exact
+            total = _power_sums(_magnitudes(scaled, part.derivative, grid), weight, part.q)[0]
+        norms.append(total**root if e is None else math.ldexp(total**root, e))
     return norms
 
 
 def _quadratic_mean(pieces) -> float:
-    def mean(p):
-        return math.sqrt(_fsum([x * x for x in p]))
-
-    norm = mean(pieces)
-    return _rescaled(mean, np.array(pieces)) if norm == math.inf else norm
+    """sqrt of the sum of squares, rescaled as ``_part_norms`` rescales."""
+    total = _fsum([x * x for x in pieces])
+    e = None if _TINY <= total < math.inf else _scale_exponent(max(pieces))
+    if e is None:
+        return math.sqrt(total)
+    return math.ldexp(math.sqrt(_fsum([math.ldexp(x, -e) ** 2 for x in pieces])), e)
 
 
 def spatial_norms(states, kind: NormKind, grid: Grid) -> list[float]:
@@ -167,13 +190,8 @@ def spatial_norms(states, kind: NormKind, grid: Grid) -> list[float]:
     columns = []
     for part in kind.parts:
         if part.derivative not in mags:
-            mag = (
-                _gradient_magnitude(block.astype(complex, copy=False), grid)
-                if part.derivative
-                else np.abs(block)
-            )
-            mags[part.derivative] = mag.reshape(len(block), grid.size)
-        columns.append(_lq_rows(mags[part.derivative], weight, part.q))
+            mags[part.derivative] = _magnitudes(block, part.derivative, grid)
+        columns.append(_part_norms(block, mags[part.derivative], part, weight, grid))
     if len(columns) == 1:
         return columns[0]
     combine = _quadratic_mean if kind.quadratic_mean else _fsum

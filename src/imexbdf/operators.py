@@ -18,9 +18,13 @@ of f(v), and weighted sums.  The explicit parts of the paper's four
 examples are named once, in ``NONLINEARITY_REGISTRY`` and
 ``EXAMPLE_TERMS``; ``build_explicit_term`` builds both
 ``assemble_example1..4`` and the config's ``nonlinearity`` from them.
-The stepper only ever sees ``apply``, ``shifted_solve`` and
+The stepper only ever sees ``apply``, the shifted solve and
 ``evaluate``.  These operators take and return complex arrays shaped
-like the grid.
+like the grid; ``shifted_solve`` never overwrites its right-hand side
+and returns a fresh array.  The stepper solves through the private
+``_solve_in_place``, which overwrites the right-hand side, a row of the
+stepper's trajectory block, with the solution: on a cached 1-d factor
+with no new array, otherwise by copying ``shifted_solve``'s result.
 """
 
 from __future__ import annotations
@@ -180,9 +184,17 @@ class LinearOperator(ABC):
 
     @abstractmethod
     def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
-        """Solve (sigma I + A(t)) u = r.  ``predict`` is None or a
-        zero-argument callable returning a guess of u, which a solver
-        that iterates may start from; others ignore it."""
+        """Solve (sigma I + A(t)) u = r into a fresh array; r is never
+        overwritten.  ``predict`` is None or a zero-argument callable
+        returning a guess of u, which a solver that iterates may start
+        from; others ignore it."""
+
+    def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
+        """The stepper's solve: overwrite ``row``, the right-hand side as
+        a flat state, with u.  An operator that can solve without a fresh
+        array overrides this."""
+        state = row.reshape(self.grid.shape)
+        state[...] = self.shifted_solve(t, sigma, state, predict)
 
     @property
     def factorization_count(self) -> int:
@@ -331,6 +343,18 @@ class SparseDiffusionOperator(LinearOperator):
                 self._factor_count += 1
         return factor.solve(rhs).reshape(self.grid.shape)
 
+    def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
+        """On a 1-d grid, a solve on the cached factor overwrites ``row``
+        with no fresh array; a new factor, and every 2-d solve, goes
+        through ``shifted_solve``."""
+        key, factor = self._factor_cache
+        if key == (self._time_key(t), sigma) and self.grid.ndim == 1:
+            x = factor.solve(row, overwrite_b=True)
+            if x is not row:  # zgttrs copied a row that is not contiguous complex128
+                row[...] = x
+        else:
+            super()._solve_in_place(t, sigma, row, predict)
+
 
 def _bands(c: np.ndarray, h: float, boundary: str) -> tuple[np.ndarray, ...]:
     """Sub-, main and super-diagonal of the 1-d stencil for interface
@@ -391,8 +415,9 @@ class _TridiagonalLU:
                 raise RuntimeError("periodic corner correction is exactly singular")
             self._correction = (ratio, denom, z)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = zgttrs(*self._lu, rhs)
+    def solve(self, rhs: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """M^-1 rhs; in rhs itself if ``overwrite_b`` and rhs is contiguous complex128."""
+        x, _ = zgttrs(*self._lu, rhs, overwrite_b=overwrite_b)
         if self._correction is not None:
             ratio, denom, z = self._correction
             x -= (x[0] + ratio * x[-1]) / denom * z

@@ -338,6 +338,26 @@ class TestConverge:
         lines = (tmp_path / "conv.csv").read_text().strip().split("\n")
         assert len(lines) == 4
 
+    def test_torus_extent_in_multiples_of_pi(self, capsys, tmp_path):
+        cfg = tmp_path / "torus.ini"
+        cfg.write_text(
+            "[problem]\nexample = 3\nextent = 0, 2*pi\npoints = 16\n"
+            "exact = exp(-t)*sin(x)\nexact_dt = -exp(-t)*sin(x)\n[scheme]\nk = 2\n"
+        )
+        argv = ["converge", "--config", str(cfg), "--tau0", "0.1", "--levels", "3"]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "conv"))
+        assert code == 0
+        payload = json.loads((tmp_path / "conv.json").read_text())
+        assert payload["config"]["problem"]["extent"] == [[0.0, 2 * math.pi]]
+
+    @pytest.mark.parametrize("extent", ["0, x", "0, 1/0"])
+    def test_extent_that_is_no_constant_exits_two(self, capsys, tmp_path, extent):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MANUFACTURED.replace("points = 16", f"extent = {extent}\npoints = 16"))
+        argv = ["converge", "--config", str(cfg), "--out", str(tmp_path / "conv")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "config error" in err and "extent" in err
+
     def test_assert_order_failure_exits_four(self, capsys, tmp_path):
         # steady manufactured solution: errors sit at round-off level, so
         # no third-order slope can be fitted through them

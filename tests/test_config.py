@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,23 @@ class TestParsing:
         )
         assert cfg.extent == ((0.0, 1.0), (0.0, 2.0))
         assert cfg.points == (8, 12)
+
+    def test_extent_endpoints_are_constant_expressions(self):
+        cfg = parse_config(
+            "[problem]\nexample = 3\nextent = -pi, 2*pi\npoints = 8\n[scheme]\nk = 1\n"
+        )
+        assert cfg.extent == ((-math.pi, 2 * math.pi),)
+        assert parse_config(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize(
+        "extent", ["0, x", "0, 1/0", "0, 10**400", "0, (-1)**0.5", "0, exp(1000)", "0, e/0.0"]
+    )
+    def test_extent_endpoint_that_is_no_finite_constant_is_rejected(self, extent):
+        text = f"[problem]\nexample = 1\nextent = {extent}\n[scheme]\nk = 1\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="extent"):
+                parse_config(text)
 
     def test_k_out_of_range_names_the_field(self):
         with pytest.raises(ConfigError, match=r"scheme\.k.*1\.\.6.*7"):

@@ -72,6 +72,65 @@ steps = 20
 norms = linf,l2
 """
 
+# a periodic example-1 run at k = 6 with constant-in-time coefficients:
+# every step solves on one cached factor with the periodic corner
+# correction, from the longest history window
+PERIODIC_K6 = """\
+[problem]
+example = 1
+boundary = periodic
+extent = 0, 2
+points = 16
+a = 1 + 0.5*sin(pi*x)
+b = 0.3
+exact = exp(-t)*sin(pi*x)
+exact_dt = -exp(-t)*sin(pi*x)
+
+[scheme]
+k = 6
+
+[time]
+tau = 0.05
+steps = 20
+
+[output]
+norms = linf,l2
+"""
+
+# example 3 on the torus: the spectral half-Laplacian solve
+SPECTRAL = """\
+[problem]
+example = 3
+extent = 0, 6.283185307179586
+points = 16
+exact = exp(-t)*sin(x)
+exact_dt = -exp(-t)*sin(x)
+
+[scheme]
+k = 4
+
+[output]
+norms = linf,l2
+"""
+
+# perfbench's manufactured_1d coefficients, which depend on t: every
+# step solves on a new factor
+TIME_DEPENDENT = """\
+[problem]
+example = 1
+points = 16
+a = 1 + 0.5*sin(x)*cos(t)
+b = 0.3*(1 + 0.5*sin(x)*cos(t))
+exact = exp(-t)*sin(pi*x)
+exact_dt = -exp(-t)*sin(pi*x)
+
+[scheme]
+k = 3
+
+[output]
+norms = linf,l2,w1inf
+"""
+
 # case -> (config text or None, argv, files written)
 CASES = {
     "coeffs_json": (None, ["coeffs", "--k", "3", "--out", "coeffs.json"], ["coeffs.json"]),
@@ -120,6 +179,21 @@ CASES = {
         MANUFACTURED_W1,
         ["converge", "--config", "run.ini", "--k", "2", "--tau0", "0.1", "--levels", "3",
          "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "solve_periodic_k6": (
+        PERIODIC_K6,
+        ["solve", "--config", "run.ini", "--out", "traj.csv"],
+        ["traj.csv", "traj_states.csv", "traj.json"],
+    ),
+    "converge_spectral": (
+        SPECTRAL,
+        ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "converge_time_dependent": (
+        TIME_DEPENDENT,
+        ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
         ["conv.csv", "conv.json"],
     ),
     "threshold": (

@@ -10,6 +10,7 @@ from imexbdf import imex_stepper as stepper
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import DomainError, StepError
 from imexbdf.operators import (
+    LinearOperator,
     PointwiseTerm,
     SparseDiffusionOperator,
     assemble_example3,
@@ -578,25 +579,48 @@ def _hand_stepped(scheme, A, B, start, tau, N, forcing=None, forcing_mode="expli
     return states
 
 
-@pytest.mark.parametrize("forcing_mode", ["explicit", "implicit"])
+class PublicSolveOperator(SparseDiffusionOperator):
+    """Solves every step through the public ``shifted_solve``."""
+
+    _solve_in_place = LinearOperator._solve_in_place
+
+
+# the time-dependent Dirichlet operator solves on a new factor each step;
+# the autonomous ones on one cached factor, in place in run's block
+HAND_STEPPED_CASES = [
+    pytest.param(mode, grid, time_dependent, id=mode if time_dependent else f"{name}-{mode}")
+    for time_dependent, name, grid in (
+        (True, "", dirichlet_grid),
+        (False, "autonomous-dirichlet", dirichlet_grid),
+        (False, "autonomous-periodic", periodic_grid),
+    )
+    for mode in ("explicit", "implicit")
+]
+
+
+@pytest.mark.parametrize("forcing_mode, make_grid, time_dependent", HAND_STEPPED_CASES)
 @pytest.mark.parametrize("k", range(1, 7))
-def test_run_matches_hand_stepped_imex_step_bitwise(k, forcing_mode):
+def test_run_matches_hand_stepped_imex_step_bitwise(k, forcing_mode, make_grid, time_dependent):
     # one step core: run's window on its trajectory block, its explicit
     # ring buffer and precomputed rows give the same bits as imex_step on
     # freshly stacked lists
-    g = dirichlet_grid((0.0, 1.0), 24)
+    g = make_grid((0.0, 1.0), 24)
     x = g.axis_nodes(0)
-    a = lambda x, t: 1.0 + 0.3 * np.sin(x + 2.0 * t)
+    if time_dependent:
+        a = lambda x, t: 1.0 + 0.3 * np.sin(x + 2.0 * t)
+    else:
+        a = lambda x, t: 1.0 + 0.3 * np.sin(x)
     B = PointwiseTerm(g, lambda u: -(u**3))
     forcing = lambda t: 0.2 * np.cos(3.0 * t) * x * (1.0 - x)
     start = [np.sin(np.pi * x) * math.exp(-0.1 * n) + 0.01j * x for n in range(k)]
     tau, N = 0.02, k + 15
+    autonomous = not time_dependent
     traj = stepper.run(
-        bdf_scheme(k), SparseDiffusionOperator(g, a, 0.4), B, start, tau, N,
+        bdf_scheme(k), SparseDiffusionOperator(g, a, 0.4, autonomous), B, start, tau, N,
         forcing=forcing, forcing_mode=forcing_mode,
     )
     hand = _hand_stepped(
-        bdf_scheme(k), SparseDiffusionOperator(g, a, 0.4), B, start, tau, N,
+        bdf_scheme(k), PublicSolveOperator(g, a, 0.4, autonomous), B, start, tau, N,
         forcing=forcing, forcing_mode=forcing_mode,
     )
     assert traj.blow_up is None and len(traj.states) == len(hand) == N + 1

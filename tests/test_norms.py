@@ -206,6 +206,45 @@ def test_lq_norms_of_huge_finite_states_do_not_overflow(token, level):
     assert unchanged == norms.spatial_norm(small, kind, g)
 
 
+EXTREME_GRIDS = {
+    "dirichlet-1d": dirichlet_grid((0.0, 1.0), 8),
+    "periodic-1d": periodic_grid((0.0, 1.0), 8),
+    "dirichlet-2d": dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], (4, 4)),
+    "periodic-2d": periodic_grid([(0.0, 1.0), (0.0, 2.0)], (4, 6)),
+}
+
+
+@pytest.mark.parametrize("token", ["l2", "lq:4", "w1q:2", "w1inf", norms.H1], ids=str)
+@pytest.mark.parametrize("level", [1e200, 1e-200])
+@pytest.mark.parametrize("name", sorted(EXTREME_GRIDS))
+def test_norms_at_both_ends_of_the_double_range(name, level, token):
+    # |v|^q and the 2-d |grad v|^2 leave the double range at these levels
+    kind = token if isinstance(token, norms.NormKind) else norms.parse_norm_token(token)
+    g = EXTREME_GRIDS[name]
+    rng = np.random.default_rng(3)
+    unit = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    v = level * unit
+    peak = float(np.abs(v).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "overflow encountered" either
+        expected = peak * norms.spatial_norm(v / peak, kind, g)
+        value, moderate = norms.spatial_norms(np.stack([v, unit]), kind, g)
+    assert 0.0 < value < math.inf
+    assert value == pytest.approx(expected, rel=1e-14)
+    assert moderate == norms.spatial_norm(unit, kind, g)
+
+
+def test_constant_extreme_states_keep_their_norms():
+    g2 = dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], (4, 4))
+    g1 = dirichlet_grid((0.0, 1.0), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w1inf = norms.spatial_norm(np.full((4, 4), 1e200), norms.W1INF, g2)
+        l2 = norms.spatial_norm(np.full(8, 1e-200), norms.L2, g1)
+    assert w1inf == pytest.approx(1e200 * norms.spatial_norm(np.ones((4, 4)), norms.W1INF, g2))
+    assert l2 == pytest.approx(1e-200 * norms.spatial_norm(np.ones(8), norms.L2, g1))
+
+
 def test_non_finite_states_keep_non_finite_norms():
     g = dirichlet_grid((0.0, 1.0), 8)
     for kind in (norms.L2, norms.LINF, norms.parse_norm_token("lq:4")):

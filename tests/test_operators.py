@@ -13,12 +13,14 @@ Analytic oracles used below:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
 
+from imexbdf import imex_stepper as stepper
 from imexbdf import operators as ops
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import (
@@ -575,6 +577,105 @@ def test_2d_factor_uses_fill_reducing_order():
     op = ops.SparseDiffusionOperator(g, 1.0, 0.5)
     op.shifted_solve(0.0, 40.0, np.ones((8, 8)))
     assert not np.array_equal(op._factor.perm_c, np.arange(64))
+
+
+SOLVE_CASES = {
+    "1d-dirichlet": lambda: ops.SparseDiffusionOperator(
+        ops.dirichlet_grid((0.0, 1.0), 12), lambda x, t: 1.0 + 0.3 * np.sin(x + t), 0.4
+    ),
+    "1d-periodic": lambda: ops.SparseDiffusionOperator(
+        ops.periodic_grid((0.0, 1.0), 12), lambda x, t: 1.0 + 0.3 * np.sin(x + t), 0.4
+    ),
+    "2d": lambda: ops.SparseDiffusionOperator(
+        ops.dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], (6, 5)),
+        lambda x, y, t: 1.0 + 0.3 * np.sin(x + y + t),
+        0.4,
+    ),
+    "spectral": lambda: ops.assemble_example3(ops.periodic_grid((0.0, 2.0 * np.pi), 16))[0],
+}
+# a new factor, the cached one, then a new time: a new 1-d factor, a
+# refinement in 2-d
+SOLVE_TIMES = [(0.0, 1), (0.0, 0), (0.02, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_shifted_solve_never_overwrites_its_right_hand_side(name):
+    A = SOLVE_CASES[name]()
+    rng = np.random.default_rng(8)
+    shape = A.grid.shape
+    for t, new_factors in SOLVE_TIMES:
+        r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = r.tobytes()
+        count = A.factorization_count
+        u = A.shifted_solve(t, 7.0, r, predict=lambda: np.zeros(shape, complex))
+        if name != "spectral":
+            assert A.factorization_count - count == (0 if name == "2d" and t else new_factors)
+        assert r.tobytes() == kept
+        assert u.shape == shape and not np.shares_memory(u, r)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_in_place_solve_matches_shifted_solve_bitwise(name):
+    # the stepper's solve overwrites a row of its trajectory block
+    public, in_place = SOLVE_CASES[name](), SOLVE_CASES[name]()
+    rng = np.random.default_rng(9)
+    shape = public.grid.shape
+    block = np.zeros((3, public.grid.size), complex)
+    for t, _ in SOLVE_TIMES:
+        r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = public.shifted_solve(t, 7.0, r)
+        block[1] = r.ravel()
+        in_place._solve_in_place(t, 7.0, block[1])
+        assert block[1].tobytes() == u.tobytes()
+        assert not block[0].any() and not block[2].any()
+    assert in_place.factorization_count == public.factorization_count
+
+
+@pytest.mark.parametrize("make_grid", [ops.dirichlet_grid, ops.periodic_grid])
+def test_1d_cached_in_place_solve_skips_the_public_solve(make_grid, monkeypatch):
+    A = ops.SparseDiffusionOperator(make_grid((0.0, 1.0), 16), 1.0, 0.4)
+    row = np.ones(16, complex)
+    A._solve_in_place(0.0, 3.0, row)  # the factor, through shifted_solve
+    expected = A.shifted_solve(0.0, 3.0, np.ones(16))
+
+    def refuse(*args):
+        raise AssertionError("cache hit went through shifted_solve")
+
+    monkeypatch.setattr(A, "shifted_solve", refuse)
+    row[:] = 1.0
+    A._solve_in_place(5.0, 3.0, row)  # autonomous: any time hits the cache
+    assert row.tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match="cache hit"):
+        A._solve_in_place(0.0, 4.0, row)  # a new shift misses
+
+
+def test_1d_cached_in_place_solve_of_an_object_row():
+    # zgttrs cannot overwrite an object row (states of mpmath numbers),
+    # so the solution is copied in
+    A = ops.SparseDiffusionOperator(ops.periodic_grid((0.0, 1.0), 8), 1.0, 0.4)
+    r = np.linspace(1.0, 2.0, 8) + 0.5j
+    expected = A.shifted_solve(0.0, 3.0, r)
+    row = r.astype(object)
+    A._solve_in_place(0.0, 3.0, row)
+    assert row.dtype == object
+    np.testing.assert_array_equal(row.astype(complex), expected)
+
+
+def test_1d_cached_dirichlet_step_allocates_no_state():
+    g = ops.dirichlet_grid((0.0, 1.0), 512)
+    A = ops.SparseDiffusionOperator(g, 1.0, 2.0)
+    block = np.random.default_rng(1).standard_normal((6, 512)) + 0j
+    core = stepper._StepCore(bdf_scheme(5), A, 0.01, block[:5], None)
+    core.row = block[5]
+    core.step(0.0, None)  # factors
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            core.step(0.0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block[5].nbytes  # 8 kB; no state-sized array was made
 
 
 # ------------------------------------------------------------- spectral
