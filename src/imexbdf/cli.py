@@ -54,7 +54,7 @@ from .errors import (
     StepError,
 )
 from .imex_stepper import bootstrap_starting_values, run
-from .norms import _block_rows, parse_norm_token, spatial_norms
+from .norms import parse_norm_token, spatial_norms
 from .stability import stability_report, von_neumann_sweep
 
 
@@ -233,32 +233,28 @@ def _cmd_solve(args) -> int:
     json_path = stem + ".json"
 
     recorded = range(0, len(traj.states), cfg.stride)
+    states, times = traj.states[:: cfg.stride], traj.times[:: cfg.stride]
     header = ["n", "t"] + labels
     if built.exact is not None:
         header += [f"err_{lab}" for lab in labels]
 
-    def norm_rows(indices):
+    def norm_rows(states, times):
         """Per state: its norms, then (with an exact solution) its errors'."""
-        states = np.array([traj.states[n] for n in indices])
         stacks = [states]
         if built.exact is not None:
-            stacks.append(states - [built.exact(traj.times[n]) for n in indices])
+            stacks.append(states - np.array([built.exact(t) for t in times]))
         return zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
 
-    rows = _block_rows(built.grid)
-    blocks = (recorded[s : s + rows] for s in range(0, len(recorded), rows))
-    main_rows = [[n, traj.times[n], *r] for b in blocks for n, r in zip(b, norm_rows(b))]
+    main_rows = [[n, t, *r] for n, t, r in zip(recorded, times, norm_rows(states, times))]
     reports.write_csv(csv_path, header, main_rows)
 
     state_header = ["n", "t"] + [f"{p}{i}" for i in range(built.grid.size) for p in ("re", "im")]
-    state_rows = [
-        # the re/im pairs of each node, in order
-        [n, traj.times[n], *np.asarray(traj.states[n], dtype=complex).ravel().view(float)]
-        for n in recorded
-    ]
+    # the re/im pairs of each node, in order
+    values = states.reshape(len(states), -1).view(float)
+    state_rows = [[n, t, *row] for n, t, row in zip(recorded, times, values)]
     reports.write_csv(states_path, state_header, state_rows)
 
-    (final,) = norm_rows([len(traj.states) - 1])
+    (final,) = norm_rows(traj.states[-1:], traj.times[-1:])
     payload = {
         **_echo(cfg),
         "k": scheme.k,

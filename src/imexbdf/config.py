@@ -315,7 +315,7 @@ def parse_config(text: str) -> RunConfig:
     for token in norms.split(","):
         parse_norm_token(token)
     stride = _get_int(output, "output", "stride", default=1, minimum=1)
-    seed = _get_int(output, "output", "seed", default=20260821)
+    seed = _get_int(output, "output", "seed", default=20260821, minimum=0)
 
     return RunConfig(
         example=example,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bdf_coeffs import BdfScheme
 from .errors import DomainError, FitError
-from .imex_stepper import _check_tau, _newest_first, make_starting_values, run
+from .imex_stepper import _check_tau, _windows, make_starting_values, run
 from .norms import LINF, NormKind, _block_rows, lp_time_norm, parse_norm_token, spatial_norms
 from .operators import Grid, SparseDiffusionOperator, dirichlet_grid
 from .stability import a_alpha_angle
@@ -106,7 +106,7 @@ def consistency_errors(
             + [ B(t_n, u(t_n)) - sum_i gamma_i B(t_{n-i-1}, u(t_{n-i-1})) ]
 
     which avoids large-operator round-off at fine step sizes.  Both sums
-    are the newest-first history contractions of ``imex_step``.
+    are ``run``'s newest-first history contractions, over all steps at once.
     """
     k = scheme.k
     if N < k:
@@ -114,15 +114,13 @@ def consistency_errors(
     _check_tau(tau)
     grid = problem.grid
     u_star = np.array([problem.exact(n * tau) for n in range(N + 1)], dtype=complex)
+    defects = (scheme.delta_f / tau) @ _windows(u_star, k + 1)
+    exact_dt = [problem.exact_dt(n * tau) for n in range(k, N + 1)]
+    defects -= np.array(exact_dt, dtype=complex).reshape(defects.shape)
     B = problem.nonlinear
     if B is not None:
         b_star = np.array([B.evaluate(n * tau, u) for n, u in enumerate(u_star)])
-    defects = np.empty((N + 1 - k, grid.size), dtype=complex)
-    for n, d in enumerate(defects, k):
-        d[:] = (scheme.delta_f / tau) @ _newest_first(u_star[n - k : n + 1])
-        d -= np.asarray(problem.exact_dt(n * tau), dtype=complex).ravel()
-        if B is not None:
-            d += b_star[n].ravel() - scheme.gamma_f @ _newest_first(b_star[n - k : n])
+        defects += b_star[k:].reshape(defects.shape) - scheme.gamma_f @ _windows(b_star[:-1], k)
     norms_seq = spatial_norms(defects.reshape(-1, *grid.shape), kind, grid)
     floor = np.finfo(float).eps * np.abs(scheme.delta_f).sum() / tau * np.abs(u_star).max()
     return ConsistencyResult(
@@ -244,7 +242,7 @@ def convergence_study(
         per_step, quotients = {lab: [] for lab in labels}, {lab: [] for lab in labels}
         rows, last = _block_rows(problem.grid), np.empty((0, *problem.grid.shape))
         for s in range(0, len(traj.states), rows):
-            errors = np.array(traj.states[s : s + rows], dtype=complex)
+            errors = traj.states[s : s + rows].astype(complex)
             for n, e in enumerate(errors, s):
                 e -= problem.exact(n * tau)
             dq = np.diff(np.concatenate((last, errors)), axis=0) / tau
@@ -308,7 +306,7 @@ def scalar_convergence_study(
             traj = run(
                 exact_scheme, _Decay(lam), None, start, tau, N, divergence_threshold=math.inf
             )
-            errors = [abs(u[0] - e) for u, e in zip(traj.states, exact)]
+            errors = [abs(u - e) for u, e in zip(traj.states[:, 0], exact)]
             l2 = (step * mp.fsum(e**2 for e in errors)) ** mp.mpf("0.5")
             report.rows.append(
                 ConvergenceRow(
@@ -384,6 +382,8 @@ def threshold_experiment(
         raise DomainError(
             "threshold experiment needs k in 3..6 (k = 1, 2 have no finite threshold)"
         )
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     alpha_deg = a_alpha_angle(scheme)
     tan_alpha = math.tan(math.radians(alpha_deg))
     ratios = (

@@ -11,14 +11,15 @@ interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
 node time t_j, and reused by the k steps that need it.  ``run`` writes
 every state once, into row n of one preallocated (N + 1, *shape)
 trajectory block: the history side is contracted from the newest-first
-window of the k rows before it (a read-only strided view of the block,
-built once per run) straight into row n, the explicit side and any
-implicit forcing are added to the row, and the solve overwrites it in
-place, so a step on a cached factor makes no new array.  The last k
-explicit values sit in a (k, *shape) buffer shifted by one row per
-step.  ``run`` validates its input once and builds one step core; each
-of its steps is an ``imex_step`` call on that core, which skips the
-checks ``imex_step`` makes on a plain history.  The
+window of the k rows before it (``_windows``, a read-only strided view
+of the block) straight into row n, the explicit side and any implicit
+forcing are added to the row, and the solve overwrites it in place, so
+a step on a cached factor makes no new array.  The block, read-only
+after the march, is ``Trajectory.states``.  The last k explicit values
+sit in a (k, *shape) buffer shifted by one row per step.  ``run``
+validates its input once and builds one step core; each of its steps
+is an ``imex_step`` call on that core, which skips the checks
+``imex_step`` makes on a plain history.  The
 blow-up guard takes one dot product per step, ||u||_2^2: max|u| <=
 ||u||_2, so a state with ||u||_2 <= threshold/2 is bounded, and only a
 state that fails that test (NaN, inf and overflow all do) gets the
@@ -59,10 +60,14 @@ def _state(u) -> np.ndarray:
     return u.astype(np.result_type(u, complex))
 
 
-def _newest_first(history) -> np.ndarray:
-    """A (k, *shape) history stored oldest first as a flat (k, size) view,
-    newest row first as the recursion sums; it follows in-place shifts."""
-    return np.asarray(history)[::-1].reshape(len(history), -1)
+def _windows(states: np.ndarray, rows: int) -> np.ndarray:
+    """Windows of ``rows`` consecutive states of a (m, *shape) array, newest
+    first and flat as the recursion sums them: window j is states
+    j + rows - 1, ..., j.  A read-only view; it follows in-place writes."""
+    flat = states.reshape(len(states), -1)
+    stride, item = flat.strides
+    shape = (len(flat) - rows + 1, rows, flat.shape[1])
+    return as_strided(flat[rows - 1 :], shape, (stride, -stride, item), writeable=False)
 
 
 def _require_finite(history) -> None:
@@ -89,14 +94,14 @@ def _check_tau(tau) -> None:
 class Trajectory:
     """Computed time grid and states, plus blow-up bookkeeping.
 
-    ``states[n]`` approximates the solution at ``times[n] = t0 + n*tau``.
-    When ``blow_up`` is set, the states stop at that index and carry the
-    first offending value.
+    ``states[n]``, row n of one read-only array, approximates the solution
+    at ``times[n] = t0 + n*tau``.  When ``blow_up`` is set, the states stop
+    at that index and carry the first offending value.
     """
 
     tau: float
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     blow_up: int | None = None
 
     @property
@@ -152,8 +157,9 @@ class _StepCore:
         self.sigma, self.gamma = delta[0] / tau, scheme.gamma_f
         # cast once as the contraction would cast it each step
         self.rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
-        self.hist, self.row = _newest_first(hist), None
-        self.explicit = None if explicit is None else _newest_first(explicit)
+        self.hist, self.row = _windows(hist, len(hist))[0], None
+        # a view of run's ring buffer, so it follows the buffer's shifts
+        self.explicit = None if explicit is None else _windows(np.asarray(explicit), len(hist))[0]
         # duck-typed operators keep the three-argument solve; the predictor
         # is bound per call, as a stored bound method is a reference cycle
         self.predicts = isinstance(A, LinearOperator)
@@ -256,11 +262,7 @@ def run(
         explicit = np.empty(start.shape, dtype=np.result_type(start, *values))
         explicit[:] = values
     core = _StepCore(scheme, A, tau, block[:k], explicit)
-    # window n - k is rows n-1, ..., n-k of the block: step n's history
-    stride, item = flat.strides
-    windows = as_strided(
-        flat[k - 1 :], (N - k + 1, k, flat.shape[1]), (stride, -stride, item), writeable=False
-    )
+    windows = _windows(block, k)  # window n - k is step n's history
 
     # max|u| <= ||u||_2, so the exact peak test runs only where ||u||_2 >
     # threshold/2; ||u||_2^2 is the dot product of the row's real view with
@@ -287,7 +289,8 @@ def run(
             explicit[-1] = explicit_value(t_n, block[n])
 
     last = N if blow_up is None else blow_up
-    return Trajectory(tau, times[: last + 1], list(block[: last + 1]), blow_up)
+    block.flags.writeable = False
+    return Trajectory(tau, times[: last + 1], block[: last + 1], blow_up)
 
 
 def make_starting_values(exact_solution, scheme: BdfScheme, tau: float):

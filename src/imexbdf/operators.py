@@ -348,7 +348,7 @@ class SparseDiffusionOperator(LinearOperator):
         with no fresh array; a new factor, and every 2-d solve, goes
         through ``shifted_solve``."""
         key, factor = self._factor_cache
-        if key == (self._time_key(t), sigma) and self.grid.ndim == 1:
+        if isinstance(factor, _TridiagonalLU) and key == (self._time_key(t), sigma):
             x = factor.solve(row, overwrite_b=True)
             if x is not row:  # zgttrs copied a row that is not contiguous complex128
                 row[...] = x

@@ -190,6 +190,30 @@ class TestSolve:
         lines = (tmp_path / "strided.csv").read_text().strip().split("\n")
         assert len(lines) == 6  # header + steps 0,5,10,15,20
 
+    def test_stride_keeps_every_row_byte_for_byte(self, capsys, tmp_path, manufactured_config):
+        lines = {}
+        for stride in ("1", "3"):
+            out_csv = str(tmp_path / f"s{stride}.csv")
+            args = ("--config", manufactured_config, "--stride", stride, "--out", out_csv)
+            assert run_cli(capsys, "solve", *args)[0] == 0
+            for name in ("", "_states"):
+                text = (tmp_path / f"s{stride}{name}.csv").read_text()
+                lines[stride, name] = text.splitlines()
+        for name in ("", "_states"):
+            full = lines["1", name]
+            assert len(full) == 22  # header + steps 0..20
+            assert lines["3", name] == full[:1] + full[1::3]
+
+    def test_negative_seed_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(
+            "[problem]\nexample = 1\npoints = 16\n[scheme]\nk = 2\n"
+            "[time]\ntau = 0.05\nsteps = 5\n[output]\nseed = -5\n"
+        )
+        args = ("solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2 and "output.seed" in err
+
     def test_byte_determinism(self, capsys, tmp_path, manufactured_config):
         out_csv = str(tmp_path / "det.csv")
         args = ("solve", "--config", manufactured_config, "--out", out_csv)
@@ -410,6 +434,10 @@ class TestThreshold:
     def test_bad_ratios_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "threshold", "--k", "3", "--ratios", "a,b")
         assert code == 2 and "--ratios" in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "threshold", "--k", "3", "--seed", "-1")
+        assert code == 2 and "seed" in err
 
     def test_k_two_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "threshold", "--k", "2", "--ratios", "1.0")

@@ -198,6 +198,35 @@ def test_consistency_matches_termwise_recursion(k):
         scale = np.abs(scheme.delta_f).sum() / tau * np.abs(u[n]).max()
         assert norm == pytest.approx(np.abs(d).max(), abs=64 * np.finfo(float).eps * scale)
 
+@pytest.mark.parametrize("cubic", [True, False], ids=["B", "no_B"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_consistency_defects_match_per_step_contraction_bit_for_bit(k, cubic, monkeypatch):
+    # reference: each step's newest-first rows contracted on their own;
+    # the batched contractions must give the same bits
+    prob = diffusion_problem(24, cubic=cubic)
+    scheme, tau, N = bdf_scheme(k), 0.05, 12
+    seen = []
+    spatial_norms = harness.spatial_norms
+
+    def recording(defects, kind, grid):
+        seen.append(defects.copy())
+        return spatial_norms(defects, kind, grid)
+
+    monkeypatch.setattr(harness, "spatial_norms", recording)
+    harness.consistency_errors(prob, scheme, tau, N)
+    u = np.array([prob.exact(n * tau) for n in range(N + 1)], dtype=complex)
+    B = prob.nonlinear
+    if B is not None:
+        b = np.array([B.evaluate(n * tau, v) for n, v in enumerate(u)])
+    hand = np.empty((N + 1 - k, prob.grid.size), dtype=complex)
+    for n, d in enumerate(hand, k):
+        d[:] = (scheme.delta_f / tau) @ u[n - k : n + 1][::-1].reshape(k + 1, -1)
+        d -= np.asarray(prob.exact_dt(n * tau), dtype=complex).ravel()
+        if B is not None:
+            d += b[n].ravel() - scheme.gamma_f @ b[n - k : n][::-1].reshape(k, -1)
+    (defects,) = seen
+    assert defects.reshape(hand.shape).tobytes() == hand.tobytes()
+
 def test_consistency_roundoff_floor_separates_noise_from_defect():
     # k = 5 at tau = 0.001: the truncation defect is ~tau^5, far below
     # the rounding of (1/tau) sum_i delta_i u(t_{n-i}), so every norm
@@ -516,6 +545,8 @@ def test_threshold_rejects_low_k_and_bad_ratios():
         harness.threshold_experiment(bdf_scheme(2))
     with pytest.raises(DomainError):
         harness.threshold_experiment(bdf_scheme(3), ratio_list=[-1.0])
+    with pytest.raises(DomainError, match="seed"):
+        harness.threshold_experiment(bdf_scheme(3), seed=-1)
 
 def test_default_ratios_straddle_tangent():
     scheme = bdf_scheme(4)

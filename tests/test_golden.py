@@ -131,6 +131,31 @@ k = 3
 norms = linf,l2,w1inf
 """
 
+# example 2 at k = 4: pins the gradient-form explicit term and its
+# derivative norm (the fitted orders are negative on this coarse ladder)
+EXAMPLE2 = MANUFACTURED_W1.replace("example = 1", "example = 2").replace("k = 2", "k = 4")
+
+# example 4 on the torus: the spectral biharmonic solve and the spectral
+# Laplacian of f(u) on the explicit side
+EXAMPLE4 = """\
+[problem]
+example = 4
+extent = 0, 2*pi
+points = 16
+exact = exp(-t)*sin(x)
+exact_dt = -exp(-t)*sin(x)
+
+[scheme]
+k = 4
+
+[time]
+tau = 0.05
+steps = 20
+
+[output]
+norms = linf,l2
+"""
+
 # case -> (config text or None, argv, files written)
 CASES = {
     "coeffs_json": (None, ["coeffs", "--k", "3", "--out", "coeffs.json"], ["coeffs.json"]),
@@ -196,6 +221,26 @@ CASES = {
         ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
         ["conv.csv", "conv.json"],
     ),
+    "converge_example2": (
+        EXAMPLE2,
+        ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "converge_example4": (
+        EXAMPLE4,
+        ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "consistency_example4": (
+        EXAMPLE4,
+        ["consistency", "--config", "run.ini", "--out", "cons"],
+        ["cons.csv", "cons.json"],
+    ),
+    "stability_k1": (
+        None,
+        ["stability", "--k", "1", "--out", "stability.json"],
+        ["stability.json"],
+    ),
     "threshold": (
         None,
         ["threshold", "--k", "3", "--nodes", "8", "--steps", "200", "--out", "thr"],
@@ -222,9 +267,10 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["solve", "solve_2d", "converge_w1"])
 def test_norm_blocks_do_not_change_output(name, tmp_path, monkeypatch):
-    # solve and converge take their norms a block of states at a time;
-    # blocks of 3 rows (1 on the 12 x 12 grid) give the same bytes as
-    # one block for all states
+    # converge takes its norms a block of states at a time; blocks of 3
+    # rows give the same bytes as one block for all states.  solve takes
+    # each norm over all its recorded states at once, so its cases check
+    # that the block size does not reach its output
     monkeypatch.setattr(norms, "_BLOCK_ELEMENTS", 3 * 16)
     for fname, data in run_case(name, tmp_path, monkeypatch).items():
         assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"

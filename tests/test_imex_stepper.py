@@ -161,8 +161,20 @@ def test_blow_up_flags_and_truncates():
     u0 = np.full(4, 2.0, dtype=complex)
     traj = stepper.run(bdf_scheme(1), A, B, [u0], 0.5, 200)
     assert traj.blow_up is not None
-    assert len(traj.states) == traj.blow_up + 1
+    assert traj.states.shape == (traj.blow_up + 1, 4)
     assert len(traj.times) == len(traj.states)
+
+@pytest.mark.parametrize("grid", [GRID4, dirichlet_grid([(0.0, 1.0), (0.0, 1.0)], (4, 5))])
+def test_states_are_one_read_only_array(grid):
+    k, N = 3, 12
+    start = [np.ones(grid.shape)] * k
+    traj = stepper.run(bdf_scheme(k), DiagOp(grid, 1.0), None, start, 0.1, N)
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (N + 1, *grid.shape)
+    with pytest.raises(ValueError):
+        traj.states[0] = 0.0
+    with pytest.raises(ValueError):
+        traj.final_state[...] = 0.0
 
 def test_divergence_threshold_override():
     A = DiagOp(GRID4, -0.5)  # growth e^{t/2}; benign but unbounded
