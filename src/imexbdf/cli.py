@@ -251,7 +251,7 @@ def _cmd_solve(args) -> int:
     state_header = ["n", "t"] + [f"{p}{i}" for i in range(built.grid.size) for p in ("re", "im")]
     # the re/im pairs of each node, in order
     values = states.reshape(len(states), -1).view(float)
-    state_rows = [[n, t, *row] for n, t, row in zip(recorded, times, values)]
+    state_rows = ([n, t, *row] for n, t, row in zip(recorded, times, values))
     reports.write_csv(states_path, state_header, state_rows)
 
     (final,) = norm_rows(traj.states[-1:], traj.times[-1:])

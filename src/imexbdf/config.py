@@ -403,11 +403,11 @@ class BuiltProblem:
 
 
 def _state_evaluator(expr: FieldExpr, grid: Grid):
-    meshes = grid.meshes()
+    field = expr.at(*grid.meshes())
 
     def evaluate(t: float) -> np.ndarray:
         out = np.empty(grid.shape, dtype=complex)
-        out[...] = expr(*meshes, t)  # scalars broadcast
+        out[...] = field(t)  # scalars broadcast
         return out
 
     return evaluate

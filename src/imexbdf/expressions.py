@@ -12,6 +12,14 @@ The grammar is a strict whitelist over the Python expression syntax:
 Anything else is rejected at parse time with the offending position, so
 config files cannot smuggle arbitrary code.  Compiled fields evaluate
 elementwise over numpy arrays.
+
+``FieldExpr.at(*coords)`` returns the field on fixed coordinates as a
+function of t, bit-identical to ``field(*coords, t)``: each maximal t-free
+subtree other than a bare name or constant is evaluated once and held
+read-only, with no reassociation (``exp(-t)*sin(pi*x)*sin(pi*y)`` holds
+the two sines apart, never their product); a t-free field returns its one
+read-only array.  ``config`` binds the exact solution to the nodes, and
+``SparseDiffusionOperator`` binds a and b to each axis's interfaces.
 """
 
 from __future__ import annotations
@@ -44,15 +52,40 @@ class FieldExpr:
             raise ConfigError(
                 f"field {self.text!r} takes {self.variables}, got {len(args)} values"
             )
-        scope = dict(zip(self.variables, args))
-        scope.update(_CONSTANTS)
-        scope.update(_FUNCTIONS)
-        scope["__builtins__"] = {}
+        scope = {**dict(zip(self.variables, args)), **_CONSTANTS, **_FUNCTIONS, "__builtins__": {}}
         return eval(self._code, scope)  # noqa: S307 - tree was whitelisted
+
+    def at(self, *coords):
+        """This field on fixed space coordinates, as a function of t."""
+        space = [v for v in self.variables if v != "t"]
+        scope = {**dict(zip(space, coords)), **_CONSTANTS, **_FUNCTIONS, "__builtins__": {}}
+        bound = ast.parse("lambda t: t", mode="eval")
+        bound.body.body = _hoist(ast.parse(self.text, mode="eval").body, scope, root=True)
+        return eval(compile(bound, "<field>", "eval"), scope)  # noqa: S307 - whitelisted
 
     @property
     def time_dependent(self) -> bool:
         return "t" in self.names_used
+
+
+def _hoist(node: ast.expr, scope: dict, root: bool = False) -> ast.expr:
+    """``node`` with its maximal t-free subtrees evaluated into ``scope``."""
+    if any(isinstance(n, ast.Name) and n.id == "t" for n in ast.walk(node)):
+        for field, child in ast.iter_fields(node):
+            if isinstance(child, list):  # a call's arguments
+                setattr(node, field, [_hoist(arg, scope) for arg in child])
+            elif isinstance(child, ast.expr):
+                setattr(node, field, _hoist(child, scope))
+        return node
+    if isinstance(node, (ast.Name, ast.Constant)) and not root:
+        return node
+    value = eval(compile(ast.Expression(node), "<field>", "eval"), scope)  # noqa: S307
+    if isinstance(value, np.ndarray):
+        value = value.view()  # the caller's coordinates keep their flags
+        value.flags.writeable = False
+    name = f"_{len(scope)}"  # no field can name it
+    scope[name] = value
+    return ast.copy_location(ast.Name(name, ast.Load()), node)
 
 
 def _reject(node: ast.AST, text: str, reason: str):
@@ -106,10 +139,4 @@ def compile_field(text: str, variables: tuple[str, ...] = ("x", "t")) -> FieldEx
         ) from None
     used: set = set()
     _validate(tree, text, variables, used)
-    code = compile(tree, "<field>", "eval")
-    return FieldExpr(
-        text=text,
-        variables=tuple(variables),
-        names_used=frozenset(used),
-        _code=code,
-    )
+    return FieldExpr(text, tuple(variables), frozenset(used), compile(tree, "<field>", "eval"))

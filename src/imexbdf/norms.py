@@ -145,7 +145,7 @@ def _power_sums(mag: np.ndarray, weight: float, q: float) -> list[float]:
     if q == math.inf:
         return mag.max(axis=1).tolist()
     with np.errstate(over="ignore", under="ignore"):  # such rows are rescaled
-        return [weight * _fsum(p.tolist()) for p in mag**q]
+        return [weight * _fsum(memoryview(p)) for p in mag**q]
 
 
 def _scale_exponent(peak: float) -> int | None:

@@ -41,6 +41,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import splu
 
 from .errors import CoercivityError, ConfigError, DomainError, UnsupportedOperationError
+from .expressions import FieldExpr
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -232,10 +233,13 @@ class SparseDiffusionOperator(LinearOperator):
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
         self.grid = grid
         scalars = isinstance(a, Number) and isinstance(b, Number)
-        self._a = (lambda *args: float(a)) if isinstance(a, Number) else a
-        self._b = (lambda *args: float(b)) if isinstance(b, Number) else b
+        a, b = ((lambda *_, c=float(f): c) if isinstance(f, Number) else f for f in (a, b))
         self.autonomous = scalars if autonomous is None else bool(autonomous)
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
+        self._fields = [  # a and b as functions of t on each axis's interfaces
+            [f.at(*xs) if isinstance(f, FieldExpr) else functools.partial(f, *xs) for f in (a, b)]
+            for xs in self._iface_coords
+        ]
         if grid.ndim == 2:
             self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
         self._lock = threading.Lock()
@@ -260,9 +264,9 @@ class SparseDiffusionOperator(LinearOperator):
 
     def _midpoint_coeffs(self, t: float, axis: int) -> np.ndarray:
         """Complex a + ib at the cell interfaces along one axis."""
-        args = (*self._iface_coords[axis], t)
-        c = np.empty(args[0].shape, dtype=complex)
-        c.real, c.imag = self._a(*args), self._b(*args)  # scalars broadcast
+        a, b = self._fields[axis]
+        c = np.empty(self._iface_coords[axis][0].shape, dtype=complex)
+        c.real, c.imag = a(t), b(t)  # scalars broadcast
         # NaN fails every comparison, so the guard is written to fail on it
         if not (0.0 < c.real.min() and c.real.max() < np.inf and np.isfinite(c.imag).all()):
             raise CoercivityError("diffusion coefficient a must be positive and a, b finite")

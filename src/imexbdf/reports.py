@@ -20,9 +20,10 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import ReportError
 from .stability import RootSweepResult, StabilityReport
 
 CSV_SIGNIFICANT_DIGITS = 12
+_CSV_FLOAT = f".{CSV_SIGNIFICANT_DIGITS}g"
 
 
 def float_token(x: float):
@@ -79,36 +81,48 @@ def write_json(path, payload) -> None:
 
 
 def csv_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):  # first: most cells are floats
+        x = float(value)
+        return format(x, _CSV_FLOAT) if math.isfinite(x) else float_token(x)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        token = float_token(float(value))
-        if isinstance(token, str):
-            return token
-        return f"{token:.{CSV_SIGNIFICANT_DIGITS}g}"
     if isinstance(value, str):
         return value
     raise ReportError(f"cannot format {type(value).__name__} as a CSV cell")
 
 
-def csv_text(header, rows) -> str:
-    rows = list(rows)
-    if not rows:
-        raise ReportError("refusing to write an empty report")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _nonempty(rows):
+    """``rows`` as an iterator, refused (ReportError) when it has none."""
+    rows = iter(rows)
+    for first in rows:
+        return chain([first], rows)
+    raise ReportError("refusing to write an empty report")
+
+
+def _write_rows(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([csv_cell(v) for v in row])
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    _write_rows(buf, header, _nonempty(rows))
     return buf.getvalue()
 
 
 def write_csv(path, header, rows) -> None:
-    text = csv_text(header, rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write each row as it is formatted; a failing row removes the file."""
+    rows = _nonempty(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, header, rows)
+    except ReportError:
+        os.remove(path)
+        raise
 
 
 # -- per-report serializers -------------------------------------------------

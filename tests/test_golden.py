@@ -156,6 +156,14 @@ steps = 20
 norms = linf,l2
 """
 
+# MANUFACTURED_2D with both coefficients time dependent: every node
+# samples t-dependent 2-D fields, and w1inf pins the 2-D gradient norm
+CONVERGE_2D = MANUFACTURED_2D.replace(
+    "b = 0.3\n", "b = 0.3*(1 + 0.5*sin(x)*sin(y)*cos(t))\n"
+).replace("k = 3\n\n[time]\ntau = 0.05\nsteps = 20\n", "k = 2\n").replace(
+    "norms = linf,l2", "norms = linf,l2,w1inf"
+)
+
 # case -> (config text or None, argv, files written)
 CASES = {
     "coeffs_json": (None, ["coeffs", "--k", "3", "--out", "coeffs.json"], ["coeffs.json"]),
@@ -219,6 +227,12 @@ CASES = {
     "converge_time_dependent": (
         TIME_DEPENDENT,
         ["converge", "--config", "run.ini", "--tau0", "0.1", "--levels", "3", "--out", "conv"],
+        ["conv.csv", "conv.json"],
+    ),
+    "converge_2d": (
+        CONVERGE_2D,
+        ["converge", "--config", "run.ini", "--k", "2", "--tau0", "0.1", "--levels", "3",
+         "--out", "conv"],
         ["conv.csv", "conv.json"],
     ),
     "converge_example2": (

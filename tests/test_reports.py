@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,33 @@ class TestCsvMachinery:
     def test_lines_and_terminator(self):
         text = reports.csv_text(["a", "b"], [[1, 2.5], [3, 4.5]])
         assert text == "a,b\n1,2.5\n3,4.5\n"
+
+    def test_write_matches_text(self, tmp_path):
+        rows = [[1, 2.5, True], [3, math.nan, "x"]]
+        reports.write_csv(tmp_path / "r.csv", ["a", "b", "c"], iter(rows))
+        assert (tmp_path / "r.csv").read_text() == reports.csv_text(["a", "b", "c"], rows)
+
+    def test_rows_are_streamed(self, tmp_path):
+        rows = ([float(i)] * 50 for i in range(20_000))
+        tracemalloc.start()
+        try:
+            reports.write_csv(tmp_path / "big.csv", [f"c{j}" for j in range(50)], rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (tmp_path / "big.csv").read_text().count("\n") == 20_001
+
+    def test_empty_report_opens_no_file(self, tmp_path):
+        with pytest.raises(ReportError, match="empty"):
+            reports.write_csv(tmp_path / "r.csv", ["a"], iter([]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_row_leaves_no_partial_file(self, tmp_path):
+        rows = ([i] for i in [*range(5000), object()])
+        with pytest.raises(ReportError, match="cannot format"):
+            reports.write_csv(tmp_path / "r.csv", ["a"], rows)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSchemeSerializers:
