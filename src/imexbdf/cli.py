@@ -54,7 +54,7 @@ from .errors import (
     StepError,
 )
 from .imex_stepper import bootstrap_starting_values, run
-from .norms import parse_norm_token, spatial_norms
+from .norms import _block_rows, parse_norm_token, spatial_norms
 from .stability import stability_report, von_neumann_sweep
 
 
@@ -239,13 +239,19 @@ def _cmd_solve(args) -> int:
         header += [f"err_{lab}" for lab in labels]
 
     def norm_rows(states, times):
-        """Per state: its norms, then (with an exact solution) its errors'."""
-        stacks = [states]
-        if built.exact is not None:
-            stacks.append(states - np.array([built.exact(t) for t in times]))
-        return zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
+        """Per state: its norms, then (with an exact solution) its errors',
+        taken a block of states at a time."""
+        rows = _block_rows(built.grid)
+        for s in range(0, len(states), rows):
+            stacks = [states[s : s + rows]]
+            if built.exact is not None:
+                errors = stacks[0].astype(complex)
+                for e, t in zip(errors, times[s : s + rows]):
+                    e -= built.exact(t)
+                stacks.append(errors)
+            yield from zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
 
-    main_rows = [[n, t, *r] for n, t, r in zip(recorded, times, norm_rows(states, times))]
+    main_rows = ([n, t, *r] for n, t, r in zip(recorded, times, norm_rows(states, times)))
     reports.write_csv(csv_path, header, main_rows)
 
     state_header = ["n", "t"] + [f"{p}{i}" for i in range(built.grid.size) for p in ("re", "im")]
@@ -260,7 +266,7 @@ def _cmd_solve(args) -> int:
         "k": scheme.k,
         "tau": cfg.tau,
         "steps": cfg.steps,
-        "recorded_steps": len(main_rows),
+        "recorded_steps": len(recorded),
         "blow_up": traj.blow_up,
         "factorizations": built.operator.factorization_count,
         "final_time": traj.times[-1],
@@ -352,7 +358,7 @@ def _cmd_converge(args) -> int:
 def _cmd_threshold(args) -> int:
     scheme = bdf_scheme(args.k)
     ratios = None
-    if args.ratios:
+    if args.ratios is not None:
         try:
             ratios = [float(r) for r in args.ratios.split(",")]
         except ValueError:

@@ -27,7 +27,7 @@ from .bdf_coeffs import BdfScheme
 from .errors import DomainError, FitError
 from .imex_stepper import _check_tau, _windows, make_starting_values, run
 from .norms import LINF, NormKind, _block_rows, lp_time_norm, parse_norm_token, spatial_norms
-from .operators import Grid, SparseDiffusionOperator, dirichlet_grid
+from .operators import Grid, LinearOperator, dirichlet_grid
 from .stability import a_alpha_angle
 
 
@@ -262,14 +262,30 @@ def convergence_study(
     return _fit_orders(report)
 
 
-@dataclass(frozen=True)
-class _Decay:
-    """The one-node operator of u' = -rate*u, solved exactly."""
+class _Diagonal(LinearOperator):
+    """A = diag(symbol) in a basis that diagonalizes it, solved exactly:
+    the sine coefficients of the threshold experiment's operator, or the
+    one 50-digit node of u' = -rate*u.  The stepper's solve divides the
+    row in place by sigma + symbol, formed once per sigma."""
 
-    rate: object
+    autonomous = True
 
-    def shifted_solve(self, t, sigma, rhs):
-        return rhs / (sigma + self.rate)
+    def __init__(self, symbol):
+        self.symbol = symbol
+        self._denom_cache = (None, None)  # (sigma, sigma + symbol) in one tuple
+
+    def apply(self, t, v):
+        return self.symbol * v
+
+    def shifted_solve(self, t, sigma, r, predict=None):
+        return r / (sigma + self.symbol)
+
+    def _solve_in_place(self, t, sigma, row, predict=None):
+        key, denom = self._denom_cache
+        if key != sigma:
+            denom = sigma + self.symbol
+            self._denom_cache = (sigma, denom)
+        np.divide(row, denom, out=row)
 
 
 def scalar_convergence_study(
@@ -292,6 +308,7 @@ def scalar_convergence_study(
     report = ConvergenceReport(k=k, norm_labels=["abs"])
     with mp.workdps(50):
         lam = mp.mpf(rate)
+        decay = _Diagonal(np.array([lam]))  # the one node of u' = -rate*u
         exact_scheme = replace(
             scheme,
             delta_f=np.array([mp.mpf(c.numerator) / c.denominator for c in scheme.delta]),
@@ -303,9 +320,7 @@ def scalar_convergence_study(
             exact = [mp.e ** (-lam * step * n) for n in range(N + 1)]
             start = [[u] for u in exact[:k]]
             # no growth guard: rate < 0 grows by design, not by instability
-            traj = run(
-                exact_scheme, _Decay(lam), None, start, tau, N, divergence_threshold=math.inf
-            )
+            traj = run(exact_scheme, decay, None, start, tau, N, divergence_threshold=math.inf)
             errors = [abs(u - e) for u, e in zip(traj.states[:, 0], exact)]
             l2 = (step * mp.fsum(e**2 for e in errors)) ** mp.mpf("0.5")
             report.rows.append(
@@ -359,6 +374,15 @@ def default_threshold_ratios(scheme: BdfScheme) -> list[float]:
     return [m * t for m in DEFAULT_RATIO_MULTIPLIERS]
 
 
+def _sine_symbol(n_nodes: int, ratio: float) -> np.ndarray:
+    """Eigenvalues (1 + i ratio) mu_j of -div((1 + i ratio) grad .) on
+    ``n_nodes`` Dirichlet nodes of (0, 1), mu_j = (4/h^2) sin^2(j pi h / 2)
+    for j = 1..n, in the order of the orthonormal DST-I's coefficients."""
+    h = dirichlet_grid((0.0, 1.0), n_nodes).h[0]
+    mu = (4.0 / h**2) * np.sin(np.arange(1, n_nodes + 1) * (math.pi * h / 2.0)) ** 2
+    return (1.0 + 1j * ratio) * mu
+
+
 def threshold_experiment(
     scheme: BdfScheme,
     ratio_list=None,
@@ -370,12 +394,20 @@ def threshold_experiment(
     ratios for the constant-coefficient diffusion problem.
 
     For each ratio r the operator is -div((1 + ir) grad .) on a 1-d
-    Dirichlet grid; its eigenvalues all share the argument atan(r), so
-    boundedness is governed by the sector position of that ray.  Step
-    sizes sweep a log ladder so that tau times the largest eigenvalue
-    modulus covers a fixed window; long random-start runs then flag
-    blow-up per ratio.  Qualitative by design: the report brackets the
-    critical ratio, it does not bisect it.
+    Dirichlet grid; its eigenvalues (1 + ir) mu_j, with
+    mu_j = (4/h^2) sin^2(j pi h / 2) those of the Dirichlet -Laplacian,
+    all share the argument atan(r), so boundedness is governed by the
+    sector position of that ray.  The orthonormal DST-I diagonalizes
+    the operator exactly, so the march runs in that sine basis: each
+    state is the vector of sine coefficients, and a step's solve is one
+    division by sigma + (1 + ir) mu_j.  The random starts are iid
+    complex Gaussian coefficients (as nodal values they would be too,
+    the transform being orthonormal), and the blow-up guard reads the
+    coefficients, whose 2-norm is the nodal one.  Step sizes sweep a
+    log ladder so that tau times the largest eigenvalue modulus covers
+    a fixed window; long random-start runs then flag blow-up per
+    ratio.  Qualitative by design: the report brackets the critical
+    ratio, it does not bisect it.
     """
     k = scheme.k
     if k < 3:
@@ -391,11 +423,12 @@ def threshold_experiment(
         if ratio_list is not None
         else default_threshold_ratios(scheme)
     )
+    if not ratios:
+        raise DomainError("ratio list is empty")
     if not all(0.0 < r < math.inf for r in ratios):  # NaN fails too
         raise DomainError(f"ratios must be positive and finite, got {ratios}")
 
-    grid = dirichlet_grid((0.0, 1.0), n_nodes)
-    h = grid.h[0]
+    h = dirichlet_grid((0.0, 1.0), n_nodes).h[0]
     top_eig = (4.0 / h**2) * math.sin(math.pi * (1.0 - h) / 2.0) ** 2
     n_targets = int(round(math.log10(_TARGET_HI / _TARGET_LO) / _TARGET_DECADE_STEP)) + 1
     targets = _TARGET_LO * 10.0 ** (_TARGET_DECADE_STEP * np.arange(n_targets))
@@ -403,7 +436,7 @@ def threshold_experiment(
     rows = []
     rng = np.random.default_rng(seed)
     for ratio in ratios:
-        operator = SparseDiffusionOperator(grid, 1.0, ratio)
+        operator = _Diagonal(_sine_symbol(n_nodes, ratio))
         modulus_scale = top_eig * math.hypot(1.0, ratio)
         unstable = 0
         for target in targets:

@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import imexbdf
+from imexbdf import norms
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.cli import main
 from imexbdf.config import parse_config
+from imexbdf.operators import dirichlet_grid
 from imexbdf.stability import von_neumann_sweep
 
 MANUFACTURED = """
@@ -154,6 +157,27 @@ class TestSolve:
         assert payload["blow_up"] is None
         assert payload["final_errors"]["linf"] < 1e-2
         assert payload["factorizations"] >= 1
+
+    def test_error_norms_take_one_block_at_a_time(self, capsys, tmp_path):
+        # 600 steps on 256 nodes: the states take 4.7 blocks of norm rows;
+        # an exact-solution stack and its difference would add two states' worth
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MANUFACTURED.replace("points = 16", "points = 256"))
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "solve", "--config", str(cfg), "--steps", "600",
+                "--out", str(tmp_path / "traj.csv"),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        block = norms._block_rows(dirichlet_grid((0.0, 1.0), 256)) * 256 * 16
+        states = 601 * 256 * 16
+        # one block of errors, its magnitudes and their powers, plus the
+        # run's own small arrays
+        assert peak < states + 4 * block
 
     def test_config_echo_round_trips(self, capsys, tmp_path, manufactured_config):
         out_csv = str(tmp_path / "traj.csv")
@@ -434,6 +458,10 @@ class TestThreshold:
     def test_bad_ratios_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "threshold", "--k", "3", "--ratios", "a,b")
         assert code == 2 and "--ratios" in err
+
+    def test_empty_ratios_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "threshold", "--k", "3", "--ratios", "")
+        assert code == 2 and "bad --ratios value ''" in err
 
     def test_negative_seed_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "threshold", "--k", "3", "--seed", "-1")

@@ -1,16 +1,19 @@
 """Consistency, convergence-order, and threshold experiment tests."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from imexbdf import convergence_harness as harness
 from imexbdf import norms
 from imexbdf import operators as ops
 from imexbdf.bdf_coeffs import bdf_scheme
 from imexbdf.errors import DomainError, FitError
+from imexbdf.imex_stepper import _StepCore, run
 from imexbdf.norms import H1, L2, LINF, W1INF, lp_time_norm, spatial_norm
 from imexbdf.operators import (
     PointwiseTerm,
@@ -547,6 +550,73 @@ def test_threshold_rejects_low_k_and_bad_ratios():
         harness.threshold_experiment(bdf_scheme(3), ratio_list=[-1.0])
     with pytest.raises(DomainError, match="seed"):
         harness.threshold_experiment(bdf_scheme(3), seed=-1)
+
+def test_threshold_rejects_empty_ratio_list():
+    with pytest.raises(DomainError, match="empty"):
+        harness.threshold_experiment(bdf_scheme(3), ratio_list=[])
+
+
+def _tan_alpha(k):
+    return math.tan(math.radians(harness.a_alpha_angle(bdf_scheme(k))))
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_sine_symbol_is_the_spectrum_of_the_diffusion_operator(k):
+    n, ratio = 16, _tan_alpha(k)
+    A = SparseDiffusionOperator(dirichlet_grid((0.0, 1.0), n), 1.0, ratio)
+    eigs = np.linalg.eigvals(A.assemble(0.0).toarray())
+    symbol = harness._sine_symbol(n, ratio)
+    np.testing.assert_allclose(eigs[np.argsort(eigs.real)], symbol, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_orthonormal_dst_diagonalizes_the_diffusion_operator(k):
+    n, ratio = 16, _tan_alpha(k)
+    A = SparseDiffusionOperator(dirichlet_grid((0.0, 1.0), n), 1.0, ratio)
+    S = scipy.fft.dst(np.eye(n), type=1, norm="ortho", axis=0)  # symmetric, S @ S = I
+    symbol = harness._sine_symbol(n, ratio)
+    gap = S @ A.assemble(0.0).toarray() @ S - np.diag(symbol)
+    assert np.abs(gap).max() <= 1e-12 * np.abs(symbol).max()
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_sine_march_flags_the_runs_a_nodal_march_flags(k, monkeypatch):
+    # every run of the experiment is marched again on the finite-difference
+    # operator from the same starts mapped to nodal values
+    verdicts = []
+
+    def both(scheme, operator, B, start, tau, n_steps):
+        traj = run(scheme, operator, B, start, tau, n_steps)
+        ratio = operator.symbol[0].imag / operator.symbol[0].real
+        fd = SparseDiffusionOperator(dirichlet_grid((0.0, 1.0), len(start[0])), 1.0, ratio)
+        nodal = [scipy.fft.idst(u, type=1, norm="ortho") for u in start]
+        fd_traj = run(scheme, fd, B, nodal, tau, n_steps)
+        verdicts.append((ratio, traj.blow_up is not None, fd_traj.blow_up is not None))
+        return traj
+
+    monkeypatch.setattr(harness, "run", both)
+    ratios = [0.5 * _tan_alpha(k), 3.0 * _tan_alpha(k)]
+    report = harness.threshold_experiment(bdf_scheme(k), ratios, n_nodes=16, n_steps=1000, seed=5)
+    fd_counts = [sum(fd for r, _, fd in verdicts if r == pytest.approx(ratio)) for ratio in ratios]
+    assert [row.unstable_count for row in report.rows] == fd_counts
+    assert fd_counts[0] == 0 and fd_counts[1] > 0
+
+
+def test_diagonal_step_allocates_no_state():
+    symbol = harness._sine_symbol(512, 1.0)
+    block = np.random.default_rng(1).standard_normal((6, 512)) + 0j
+    core = _StepCore(bdf_scheme(5), harness._Diagonal(symbol), 0.01, block[:5], None)
+    core.row = block[5]
+    core.step(0.0, None)  # forms sigma + symbol
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            core.step(0.0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block[5].nbytes  # 8 kB; no state-sized array was made
+
 
 def test_default_ratios_straddle_tangent():
     scheme = bdf_scheme(4)

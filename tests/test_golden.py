@@ -281,10 +281,9 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["solve", "solve_2d", "converge_w1"])
 def test_norm_blocks_do_not_change_output(name, tmp_path, monkeypatch):
-    # converge takes its norms a block of states at a time; blocks of 3
-    # rows give the same bytes as one block for all states.  solve takes
-    # each norm over all its recorded states at once, so its cases check
-    # that the block size does not reach its output
+    # solve and converge take their norms and errors a block of states at
+    # a time; blocks of 3 rows (one row on the 12 x 12 grid) give the same
+    # bytes as the default blocks, which hold every state of these cases
     monkeypatch.setattr(norms, "_BLOCK_ELEMENTS", 3 * 16)
     for fname, data in run_case(name, tmp_path, monkeypatch).items():
         assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"
