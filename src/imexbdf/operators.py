@@ -209,10 +209,12 @@ class SparseDiffusionOperator(LinearOperator):
     Dirichlet matrix real symmetric positive definite.  On 1-d grids
     A(t) is its three bands (and the periodic corners) formed straight
     from the interface coefficients (``_bands``); ``assemble`` makes a
-    CSC matrix of them only when called.  In 2-d the CSC pattern and a
-    constant real weight matrix W_i per axis are built once, so the
-    matrix at time t has data sum_i W_i @ c_i(t) / h_i^2, with c_i(t)
-    the interface coefficients along axis i.  Shifted solves go
+    CSC matrix of them only when called.  In 2-d the CSC pattern and
+    one gather index are built once (``_stencil_pattern``): the matrix
+    at time t takes its data from the node sums (c_lo + c_hi) / h_i^2
+    over both axes and the links -c_i / h_i^2, sliced from the
+    interface coefficients c_i(t) along axis i as in 1-d; the data is
+    read-only, since ``assemble`` hands out the cached matrix.  Shifted solves go
     through a cached direct factorization: on 1-d grids a partially
     pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK zgttrf/zgttrs)
     of the bands, with the two periodic corners added by
@@ -241,7 +243,7 @@ class SparseDiffusionOperator(LinearOperator):
             for xs in self._iface_coords
         ]
         if grid.ndim == 2:
-            self._indptr, self._indices, self._diag_slots, self._weights = _stencil_pattern(grid)
+            self._indptr, self._indices, self._diag_slots, self._gather = _stencil_pattern(grid)
         self._lock = threading.Lock()
         self._stencil_cache = (None, None)
         # (key, factor) in one tuple, so a lock-free read never pairs
@@ -306,11 +308,15 @@ class SparseDiffusionOperator(LinearOperator):
         """A(t): the bands (``_bands``) on 1-d grids, the CSC matrix in 2-d."""
         if self.grid.ndim == 1:
             return _bands(self._midpoint_coeffs(t, 0), self.grid.h[0], self.grid.boundary)
-        parts = [
-            weights @ self._midpoint_coeffs(t, axis).ravel() / h**2
-            for axis, (weights, h) in enumerate(zip(self._weights, self.grid.h))
-        ]
-        return self._csc(sum(parts[1:], parts[0]))
+        diag, links = 0.0, []
+        for axis, (n, h) in enumerate(zip(self.grid.npts, self.grid.h)):
+            c = self._midpoint_coeffs(t, axis)
+            above = np.take(c, np.arange(1, n + 1) % c.shape[axis], axis)
+            diag = diag + (np.take(c, range(n), axis) + above) / h**2
+            links.append(-c.ravel() / h**2)
+        data = np.concatenate([diag.ravel(), *links])[self._gather]
+        data.setflags(write=False)  # the cached matrix is shared
+        return self._csc(data)
 
     def _csc(self, data: np.ndarray) -> sp.csc_matrix:
         size = self.grid.size
@@ -479,50 +485,46 @@ def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:
 
 
 def _stencil_pattern(grid: Grid):
-    """CSC pattern of -div(c grad .) on ``grid`` and its weights.
+    """CSC pattern of -div(c grad .) on ``grid`` and its gather.
 
-    Returns (indptr, indices, diag_slots, weights): the matrix for
-    interface coefficients c_i along axis i (``_midpoint_coeffs``,
-    raveled) has data sum_i weights[i] @ c_i / h_i^2 in this pattern,
-    and diag_slots are the data positions of its diagonal.  The weights
-    are +-1, so each entry is a sum of interface coefficients divided
-    by h_i^2, the stencil as written.
+    Returns (indptr, indices, diag_slots, gather): the matrix for
+    interface coefficients c_i along axis i (``_midpoint_coeffs``) has
+    data ``values[gather]`` in this pattern, where ``values`` holds the
+    node sums sum_i (c_i below + c_i above) / h_i^2 followed by
+    -c_i / h_i^2 at every interface of axis 0, then of axis 1 (all
+    raveled), and diag_slots are the data positions of the diagonal.
     """
     node = np.arange(grid.size).reshape(grid.shape)
-    rows, cols, ifaces, signs, n_ifaces = [], [], [], [], []
+    rows, cols, values = [node.ravel()], [node.ravel()], [node.ravel()]
+    offset = grid.size
     for axis, n in enumerate(grid.npts):
         iface_shape = list(grid.shape)
         if grid.boundary == DIRICHLET:
             iface_shape[axis] += 1
-        iface = np.arange(np.prod(iface_shape)).reshape(iface_shape)
-        below = np.take(iface, np.arange(n), axis).ravel()
-        above = np.take(iface, np.arange(1, n + 1) % iface_shape[axis], axis)
+        iface = offset + np.arange(np.prod(iface_shape)).reshape(iface_shape)
         # each node couples to its successor through the interface above it
-        src, dst, link = node, np.roll(node, -1, axis), above
+        src, dst = node, np.roll(node, -1, axis)
+        link = np.take(iface, np.arange(1, n + 1) % iface_shape[axis], axis)
         if grid.boundary == DIRICHLET:
             inner = tuple(slice(0, n - 1) if i == axis else slice(None) for i in range(grid.ndim))
             src, dst, link = src[inner], dst[inner], link[inner]
-        center, src, dst, link = node.ravel(), src.ravel(), dst.ravel(), link.ravel()
-        rows.append(np.concatenate([center, center, src, dst]))
-        cols.append(np.concatenate([center, center, dst, src]))
-        ifaces.append(np.concatenate([below, above.ravel(), link, link]))
-        signs.append(np.repeat([1.0, -1.0], [2 * center.size, 2 * link.size]))
-        n_ifaces.append(iface.size)
-    # terms at the same position (the diagonal) share one slot
+        src, dst, link = src.ravel(), dst.ravel(), link.ravel()
+        rows += [src, dst]
+        cols += [dst, src]
+        values += [link, link]
+        offset += iface.size
+    # no two terms share a position, since every axis has at least 4 nodes
     size = grid.size
-    keys, slots = np.unique(np.concatenate(cols) * size + np.concatenate(rows), return_inverse=True)
-    key_cols, indices = np.divmod(keys, size)
+    keys = np.concatenate(cols) * size + np.concatenate(rows)
+    order = np.argsort(keys)
+    key_cols, indices = np.divmod(keys[order], size)
     indptr = np.searchsorted(key_cols, np.arange(size + 1))
     diag_slots = np.flatnonzero(indices == key_cols)
-    axis_slots = np.split(slots, np.cumsum([f.size for f in ifaces])[:-1])
-    weights = [
-        sp.csr_matrix((w, (slot, f)), shape=(keys.size, m))
-        for w, slot, f, m in zip(signs, axis_slots, ifaces, n_ifaces)
-    ]
+    gather = np.concatenate(values)[order]
     indptr, indices = indptr.astype(np.intc), indices.astype(np.intc)
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    return indptr, indices, diag_slots, weights
+    for arr in (indptr, indices, gather):
+        arr.setflags(write=False)
+    return indptr, indices, diag_slots, gather
 
 
 class SpectralDiagonalOperator(LinearOperator):

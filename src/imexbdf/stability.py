@@ -12,7 +12,8 @@ Three views of the same stability question live here:
   u' + rho e^{i phi} u = 0.
 
 No boundary of the numerical range is sampled: the constant and the
-angle check both read rho = sup |Im z| / Re z off that one eigenproblem.
+angle check both read rho = sup |Im z| / Re z off that one eigenproblem,
+whose result for the last matrix is kept in a single slot.
 """
 
 from __future__ import annotations
@@ -125,14 +126,25 @@ def _as_square_matrix(A) -> np.ndarray:
     return M
 
 
+# the single slot: (key, rho) of the last matrix, one tuple swapped
+# whole, so that a lock-free read never pairs one key with another rho
+_skew_ratio_cache = [(None, None)]
+
+
 def _max_skew_ratio(A) -> float:
     """rho = sup |Im z| / Re z over the numerical range of a coercive matrix.
 
     With H = (A + A*)/2 and K = (A - A*)/(2i), z = v*Av has Re z = v*Hv and
     Im z = v*Kv, so Im z / Re z ranges exactly over the eigenvalues mu of
-    the Hermitian-definite pencil K x = mu H x, and rho = max |mu|.
+    the Hermitian-definite pencil K x = mu H x, and rho = max |mu|.  The
+    last rho is kept, keyed by the matrix's shape and bytes, so the
+    constant and the sector check of one matrix solve one eigenproblem.
     """
     M = _as_square_matrix(A)
+    key = (M.shape, M.tobytes())
+    cached_key, rho = _skew_ratio_cache[0]
+    if cached_key == key:
+        return rho
     # near overflow the eigenvalues of H and K may exceed the double range
     # though the entries do not; the scaling is exact, rho is scale
     # invariant, and an even power of two scales the Cholesky factor of H
@@ -150,7 +162,7 @@ def _max_skew_ratio(A) -> float:
         raise CoercivityError("Hermitian part is not positive definite")
     skew = 0.5j * M.conj().T - 0.5j * M
     try:
-        mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
+        mu = scipy.linalg.eigh(skew, herm, eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         # the Cholesky factor of H failed: H is positive definite only
         # up to rounding
@@ -158,6 +170,7 @@ def _max_skew_ratio(A) -> float:
     rho = float(np.abs(mu).max())
     if not math.isfinite(rho):
         raise ComputationError("generalized eigenvalues of the matrix are not finite")
+    _skew_ratio_cache[0] = (key, rho)
     return rho
 
 

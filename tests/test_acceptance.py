@@ -2,7 +2,8 @@
 
 Each test exercises one numbered acceptance criterion, prints a single
 PASS/FAIL line (bypassing capture so the verdicts are visible in any
-run), and enforces a wall-clock budget.
+run), and enforces a wall-clock budget.  Tests without a number extend the
+criterion they sit beside.
 
 Criterion 3 (and the matching entry of the criterion 10 property
 registry) compares the computed thresholds 1/cos(alpha_k) with the
@@ -231,6 +232,40 @@ def test_criterion_07_dirichlet_diffusion_orders(capsys):
         "512-node Dirichlet diffusion orders "
         + ", ".join(f"k={k}: {s:.3f}" for k, s in slopes.items()),
     )
+
+
+def _example1_cosine(n, k):
+    """Example 1 with b = r a, r = 0.5 tan(alpha_k), and exact solution
+    cos(8t) sin(pi x), on n Dirichlet nodes."""
+    grid = dirichlet_grid((0.0, 1.0), n)
+    r = 0.5 * math.tan(math.radians(a_alpha_angle(bdf_scheme(k))))
+    op, term = assemble_example1(
+        grid,
+        lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t),
+        lambda x, t: r * (1.0 + 0.5 * np.sin(x) * np.cos(t)),
+    )
+    profile = np.sin(np.pi * grid.axis_nodes(0)).astype(complex)
+    return ManufacturedProblem(
+        grid,
+        op,
+        term,
+        lambda t: math.cos(8.0 * t) * profile,
+        lambda t: -8.0 * math.sin(8.0 * t) * profile,
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_example1_orders_5_and_6_flat_in_h(k):
+    # beside criterion 7, which fits k = 1..4: the max-norm order is k
+    # and the finest error does not depend on the grid
+    taus = [0.04 / 2**j for j in range(5)]
+    finest = []
+    for n in (16, 32, 64):
+        report = convergence_study(_example1_cosine(n, k), bdf_scheme(k), taus, 1.0)
+        assert not report.unstable_taus
+        assert abs(report.fits["linf"].slope - k) <= 0.1, (n, report.fits["linf"].slope)
+        finest.append(report.rows[-1].max_errors["linf"])
+    assert max(finest) <= 1.02 * min(finest), finest
 
 
 def test_criterion_08_spectral_torus_orders(capsys):

@@ -435,9 +435,84 @@ def test_assembly_sign_error_raises_coercivity_error():
     g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (6, 6))
     op = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
     op.assemble(0.5)
-    op._weights = [-w for w in op._weights]
+    build = op._build
+    op._build = lambda t: -build(t)
     with pytest.raises(CoercivityError):
         op.assemble(0.7)
+
+
+def _stencil_formula_matrix(grid, a, b, t):
+    """Dense 2-d A(t) entry by entry: node sums (c_lo + c_hi) / h^2 over
+    both axes on the diagonal, -c / h^2 between neighbours, with c the
+    coefficient at the interface between them."""
+    periodic = grid.boundary == ops.PERIODIC
+    nx, ny = grid.npts
+    hx, hy = grid.h
+    shift = -0.5 if periodic else 0.5
+    # interface j lies between nodes j-1 and j
+    mids = [lo + h * (np.arange(n if periodic else n + 1) + shift)
+            for (lo, _), n, h in zip(grid.extents, grid.npts, grid.h)]
+    xs, ys = grid.axis_nodes(0), grid.axis_nodes(1)
+    cx, cy = (
+        a(*coords, t) + 1j * b(*coords, t)
+        for coords in (np.meshgrid(mids[0], ys, indexing="ij"),
+                       np.meshgrid(xs, mids[1], indexing="ij"))
+    )
+    ref = np.zeros((grid.size, grid.size), dtype=complex)
+    for i in range(nx):
+        for j in range(ny):
+            row = i * ny + j
+            up_x, up_y = (i + 1) % cx.shape[0], (j + 1) % cy.shape[1]
+            ref[row, row] = (
+                0.0 + (cx[i, j] + cx[up_x, j]) / hx**2 + (cy[i, j] + cy[i, up_y]) / hy**2
+            )
+            if periodic or i + 1 < nx:
+                col = (i + 1) % nx * ny + j
+                ref[row, col] = ref[col, row] = -cx[up_x, j] / hx**2
+            if periodic or j + 1 < ny:
+                col = i * ny + (j + 1) % ny
+                ref[row, col] = ref[col, row] = -cy[i, up_y] / hy**2
+    return ref
+
+
+@pytest.mark.parametrize("npts", [(7, 5), (6, 6)])
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_gathered_build_is_the_stencil_formula_bit_for_bit(make_grid, npts):
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), npts)
+    a = lambda x, y, t: _coeff_2d(x, y, t)[0]  # noqa: E731
+    b = lambda x, y, t: _coeff_2d(x, y, t)[1]  # noqa: E731
+    op = ops.SparseDiffusionOperator(g, a, b)
+    for t in (0.3, 1.7):
+        A = op._build(t)
+        ref = _stencil_formula_matrix(g, a, b, t)
+        # every stencil entry is stored, and nothing else
+        assert A.nnz == np.count_nonzero(ref)
+        bits = np.ascontiguousarray(A.toarray()).view(np.uint64)
+        np.testing.assert_array_equal(bits, ref.view(np.uint64))
+
+
+def test_assembled_2d_matrix_is_read_only():
+    # assemble hands out the cached matrix, so an in-place edit would
+    # change the next solve at that time
+    g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
+    op = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
+    r = np.ones(g.shape, dtype=complex)
+    u = op.shifted_solve(0.5, 3.0, r)
+    A = op.assemble(0.5)
+    with pytest.raises(ValueError):
+        A.data *= 2
+    for arr in (A.data, A.indices, A.indptr):
+        assert not arr.flags.writeable
+    assert op.assemble(0.5) is A
+    # the pattern is canonical, so scipy never sorts it in place
+    A.sort_indices()
+    A.sum_duplicates()
+    sp.linalg.splu(A)
+    fresh = ops.SparseDiffusionOperator(g, lambda x, y, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
+    np.testing.assert_array_equal(op.shifted_solve(0.5, 3.0, r), u)
+    np.testing.assert_array_equal(fresh.shifted_solve(0.5, 3.0, r), u)
 
 @pytest.mark.parametrize(
     "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]

@@ -299,6 +299,84 @@ def test_angle_check_measures_arcsin_of_inverse_constant(n):
     assert measured == pytest.approx(math.degrees(math.asin(1.0 / lam)), abs=1e-10)
 
 
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Calls of the stability module's eigvalsh and generalized eigh,
+    from an empty single-slot cache; reset the counts after building
+    the test's matrices, which call eigvalsh too."""
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(stability.np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(stability.scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(stability, "_skew_ratio_cache", [(None, None)])
+    return calls
+
+
+def _reference_angle(A):
+    """(lambda, theta_A in degrees) from the pencil K x = mu H x."""
+    herm = 0.5 * (A + A.conj().T)
+    skew = -0.5j * (A - A.conj().T)
+    rho = np.abs(scipy.linalg.eigh(skew, herm, eigvals_only=True)).max()
+    return math.hypot(1.0, rho), math.degrees(0.5 * math.pi - math.atan(rho))
+
+
+def test_constant_then_check_solve_one_eigenproblem(eigen_calls):
+    A = random_nonnormal(np.random.default_rng(11), 12)
+    lam_ref, angle_ref = _reference_angle(A)
+    eigen_calls.update(eigvalsh=0, eigh=0)
+    lam = stability_constant(A)
+    holds, measured = angle_of_analyticity_check(A, lam)
+    assert eigen_calls == {"eigvalsh": 1, "eigh": 1}
+    assert lam == pytest.approx(lam_ref, rel=1e-13)
+    assert holds
+    assert measured == pytest.approx(angle_ref, abs=1e-11)
+
+
+def test_matrix_edited_in_place_is_solved_again(eigen_calls):
+    A = random_nonnormal(np.random.default_rng(12), 10)
+    _, angle_before = _reference_angle(A)
+    edited = A.copy()
+    # a real antisymmetric change leaves H, so coercivity, as it was
+    edited[0, 1] += 0.5
+    edited[1, 0] -= 0.5
+    lam_ref, angle_ref = _reference_angle(edited)
+    eigen_calls.update(eigvalsh=0, eigh=0)
+    stability_constant(A)
+    A[0, 1] += 0.5
+    A[1, 0] -= 0.5
+    _, measured = angle_of_analyticity_check(A, lam_ref)
+    assert eigen_calls == {"eigvalsh": 2, "eigh": 2}
+    assert measured == pytest.approx(angle_ref, abs=1e-11)
+    assert abs(angle_ref - angle_before) > 1e-3
+
+
+def test_alternating_matrices_each_get_their_own_constant(eigen_calls):
+    rng = np.random.default_rng(13)
+    A, B = random_nonnormal(rng, 8), random_nonnormal(rng, 8)
+    refs = [_reference_angle(M)[0] for M in (A, B)]
+    eigen_calls.update(eigvalsh=0, eigh=0)
+    for M, lam_ref in [(A, refs[0]), (B, refs[1])] * 2:
+        assert stability_constant(M) == pytest.approx(lam_ref, rel=1e-13)
+    # one slot: each switch of matrix solves again
+    assert eigen_calls == {"eigvalsh": 4, "eigh": 4}
+
+
+def test_non_coercive_matrix_raises_on_every_call(eigen_calls):
+    A = np.array([[1.0, 1.0], [-1.0, 0.0]])  # Hermitian part diag(1, 0)
+    with pytest.raises(CoercivityError):
+        stability_constant(A)
+    with pytest.raises(CoercivityError):
+        angle_of_analyticity_check(A, 2.0)
+    assert eigen_calls == {"eigvalsh": 2, "eigh": 0}
+
+
 def test_coefficient_lambda_basics():
     assert coefficient_lambda(1.0, 0.0).value == pytest.approx(1.0)
     result = coefficient_lambda(1.0, 1.0)
