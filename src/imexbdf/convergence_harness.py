@@ -27,7 +27,7 @@ from .bdf_coeffs import BdfScheme
 from .errors import DomainError, FitError
 from .imex_stepper import _check_tau, _windows, make_starting_values, run
 from .norms import LINF, NormKind, _block_rows, lp_time_norm, parse_norm_token, spatial_norms
-from .operators import Grid, LinearOperator, dirichlet_grid
+from .operators import Grid, SpectralDiagonalOperator, _sine_symbol, dirichlet_grid
 from .stability import a_alpha_angle
 
 
@@ -262,32 +262,6 @@ def convergence_study(
     return _fit_orders(report)
 
 
-class _Diagonal(LinearOperator):
-    """A = diag(symbol) in a basis that diagonalizes it, solved exactly:
-    the sine coefficients of the threshold experiment's operator, or the
-    one 50-digit node of u' = -rate*u.  The stepper's solve divides the
-    row in place by sigma + symbol, formed once per sigma."""
-
-    autonomous = True
-
-    def __init__(self, symbol):
-        self.symbol = symbol
-        self._denom_cache = (None, None)  # (sigma, sigma + symbol) in one tuple
-
-    def apply(self, t, v):
-        return self.symbol * v
-
-    def shifted_solve(self, t, sigma, r, predict=None):
-        return r / (sigma + self.symbol)
-
-    def _solve_in_place(self, t, sigma, row, predict=None):
-        key, denom = self._denom_cache
-        if key != sigma:
-            denom = sigma + self.symbol
-            self._denom_cache = (sigma, denom)
-        np.divide(row, denom, out=row)
-
-
 def scalar_convergence_study(
     scheme: BdfScheme, tau_list, final_time: float = 1.0, rate: float = 1.0
 ) -> ConvergenceReport:
@@ -308,7 +282,7 @@ def scalar_convergence_study(
     report = ConvergenceReport(k=k, norm_labels=["abs"])
     with mp.workdps(50):
         lam = mp.mpf(rate)
-        decay = _Diagonal(np.array([lam]))  # the one node of u' = -rate*u
+        decay = SpectralDiagonalOperator(None, np.array([lam]))  # the one node of u' = -rate*u
         exact_scheme = replace(
             scheme,
             delta_f=np.array([mp.mpf(c.numerator) / c.denominator for c in scheme.delta]),
@@ -374,15 +348,6 @@ def default_threshold_ratios(scheme: BdfScheme) -> list[float]:
     return [m * t for m in DEFAULT_RATIO_MULTIPLIERS]
 
 
-def _sine_symbol(n_nodes: int, ratio: float) -> np.ndarray:
-    """Eigenvalues (1 + i ratio) mu_j of -div((1 + i ratio) grad .) on
-    ``n_nodes`` Dirichlet nodes of (0, 1), mu_j = (4/h^2) sin^2(j pi h / 2)
-    for j = 1..n, in the order of the orthonormal DST-I's coefficients."""
-    h = dirichlet_grid((0.0, 1.0), n_nodes).h[0]
-    mu = (4.0 / h**2) * np.sin(np.arange(1, n_nodes + 1) * (math.pi * h / 2.0)) ** 2
-    return (1.0 + 1j * ratio) * mu
-
-
 def threshold_experiment(
     scheme: BdfScheme,
     ratio_list=None,
@@ -428,16 +393,15 @@ def threshold_experiment(
     if not all(0.0 < r < math.inf for r in ratios):  # NaN fails too
         raise DomainError(f"ratios must be positive and finite, got {ratios}")
 
-    h = dirichlet_grid((0.0, 1.0), n_nodes).h[0]
-    top_eig = (4.0 / h**2) * math.sin(math.pi * (1.0 - h) / 2.0) ** 2
+    mu = _sine_symbol(dirichlet_grid((0.0, 1.0), n_nodes))
     n_targets = int(round(math.log10(_TARGET_HI / _TARGET_LO) / _TARGET_DECADE_STEP)) + 1
     targets = _TARGET_LO * 10.0 ** (_TARGET_DECADE_STEP * np.arange(n_targets))
 
     rows = []
     rng = np.random.default_rng(seed)
     for ratio in ratios:
-        operator = _Diagonal(_sine_symbol(n_nodes, ratio))
-        modulus_scale = top_eig * math.hypot(1.0, ratio)
+        operator = SpectralDiagonalOperator(None, (1.0 + 1j * ratio) * mu)
+        modulus_scale = mu[-1] * math.hypot(1.0, ratio)
         unstable = 0
         for target in targets:
             tau = float(target / modulus_scale)

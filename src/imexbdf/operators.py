@@ -5,8 +5,8 @@ Two operator backends feed the time stepper through one interface:
 * sparse finite differences for variable-coefficient diffusion
   -div((a + ib) grad u) in conservative form on Dirichlet or periodic
   grids,
-* spectral-diagonal operators (Fourier multipliers) on periodic grids,
-  used for the half-Laplacian |xi| and the biharmonic |xi|^4.
+* one spectral-diagonal operator: Fourier multipliers on periodic grids
+  (|xi|, |xi|^4), or a symbol on mode coefficients (the sine modes).
 
 The 1-d stencil is held as its bands (plus two corners when periodic),
 formed straight from the interface coefficients and factored with
@@ -19,12 +19,12 @@ examples are named once, in ``NONLINEARITY_REGISTRY`` and
 ``EXAMPLE_TERMS``; ``build_explicit_term`` builds both
 ``assemble_example1..4`` and the config's ``nonlinearity`` from them.
 The stepper only ever sees ``apply``, the shifted solve and
-``evaluate``.  These operators take and return complex arrays shaped
+``evaluate``.  Grid operators take and return complex arrays shaped
 like the grid; ``shifted_solve`` never overwrites its right-hand side
 and returns a fresh array.  The stepper solves through the private
 ``_solve_in_place``, which overwrites the right-hand side, a row of the
-stepper's trajectory block, with the solution: on a cached 1-d factor
-with no new array, otherwise by copying ``shifted_solve``'s result.
+stepper's trajectory block, with the solution: with no state-sized array on
+a cached 1-d factor or a diagonal symbol, else by copying ``shifted_solve``'s result.
 """
 
 from __future__ import annotations
@@ -142,6 +142,15 @@ def fourier_frequencies(grid: Grid) -> tuple[np.ndarray, ...]:
         2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(grid.npts, grid.h)
     ]
     return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def _sine_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues mu_j = (4/h^2) sin^2(j pi h / 2), j = 1..n, of the 1-d Dirichlet
+    -Laplacian's stencil, in the order of the orthonormal DST-I's coefficients."""
+    if grid.boundary != DIRICHLET or grid.ndim != 1:
+        raise ConfigError("the sine symbol needs a 1-d Dirichlet grid")
+    n, h = grid.npts[0], grid.h[0]
+    return (4.0 / h**2) * np.sin(np.arange(1, n + 1) * (np.pi * h / 2.0)) ** 2
 
 
 def _as_state(grid: Grid, v) -> np.ndarray:
@@ -528,14 +537,24 @@ def _stencil_pattern(grid: Grid):
 
 
 class SpectralDiagonalOperator(LinearOperator):
-    """Fourier multiplier operator on a periodic grid.
+    """A = diag(symbol) in a basis that diagonalizes it, solved exactly.
 
-    The symbol is a real nonnegative array over the discrete
-    frequencies; apply and shifted_solve are exact in the transform
-    basis, so there is nothing to factorize.
+    ``grid`` fixes the basis.  On a periodic grid it is the Fourier basis:
+    states are nodal values, transformed by ``fftn``/``ifftn``, and the
+    symbol is real, finite and nonnegative.  With ``grid=None`` states
+    are the mode coefficients and the symbol is kept as given: complex
+    sine modes, or a 50-digit mpmath node whose rate < 0 grows by design,
+    so no sign is checked.  Both cache sigma + symbol for the last sigma
+    (a Fourier one must be positive) and solve the stepper's row in place.
     """
 
-    def __init__(self, grid: Grid, symbol: np.ndarray, name: str = "multiplier"):
+    autonomous = True
+
+    def __init__(self, grid: Grid | None, symbol):
+        self.grid, self.symbol = grid, symbol
+        self._denom_cache = (None, None)  # (sigma, sigma + symbol) in one tuple
+        if grid is None:
+            return
         if grid.boundary != PERIODIC:
             raise ConfigError("spectral operators require a periodic grid")
         symbol = np.asarray(symbol)
@@ -543,25 +562,45 @@ class SpectralDiagonalOperator(LinearOperator):
             raise UnsupportedOperationError("spectral symbols must be real")
         if symbol.shape != grid.shape:
             raise DomainError("symbol shape does not match grid")
-        self.grid = grid
         self.symbol = symbol.astype(float)
-        self.name = name
-        self.autonomous = True
-        # coercive by construction: a nonnegative symbol makes
-        # Re<Av,v> = sum_k symbol_k |v^_k|^2 / N >= 0 for every v
-        if self.symbol.min() < 0.0:
-            raise CoercivityError(f"{name}: spectral symbol must be nonnegative")
+        # Re<Av,v> = sum_k symbol_k |v^_k|^2 / N >= 0; the guard is written to fail on NaN
+        if not (0.0 <= self.symbol.min() and self.symbol.max() < np.inf):
+            raise CoercivityError("spectral symbol must be finite and nonnegative")
+        self._solve_in_place = self._fourier_solve_in_place  # a nodal row needs the transforms
+
+    def _denominator(self, sigma):
+        """sigma + symbol, cached for the last sigma once it passes the check."""
+        key, denom = self._denom_cache
+        if key != sigma:
+            denom = sigma + self.symbol
+            if self.grid is not None and not denom.min() > 0.0:  # NaN fails too
+                raise DomainError("shift sigma must keep sigma + symbol positive")
+            self._denom_cache = (sigma, denom)
+        return denom
 
     def apply(self, t: float, v) -> np.ndarray:
-        state = _as_state(self.grid, v)
-        return np.fft.ifftn(self.symbol * np.fft.fftn(state))
+        if self.grid is None:
+            return self.symbol * v
+        return np.fft.ifftn(self.symbol * np.fft.fftn(_as_state(self.grid, v)))
 
     def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
-        rhs = _as_state(self.grid, r)
-        denom = sigma + self.symbol
-        if denom.min() <= 0.0:
-            raise DomainError("shift sigma must keep sigma + symbol positive")
-        return np.fft.ifftn(np.fft.fftn(rhs) / denom)
+        if self.grid is None:
+            return r / self._denominator(sigma)
+        return np.fft.ifftn(np.fft.fftn(_as_state(self.grid, r)) / self._denominator(sigma))
+
+    def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
+        key, denom = self._denom_cache
+        if key != sigma:
+            denom = self._denominator(sigma)
+        np.divide(row, denom, out=row)
+
+    def _fourier_solve_in_place(self, t, sigma, row, predict=None) -> None:
+        if row.dtype != complex:  # fftn transforms only complex128 rows in place
+            return super()._solve_in_place(t, sigma, row, predict)
+        denom, state = self._denominator(sigma), row.reshape(self.grid.shape)
+        np.fft.fftn(state, out=state)
+        np.divide(state, denom, out=state)
+        np.fft.ifftn(state, out=state)
 
 
 def _pad(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -776,16 +815,12 @@ def assemble_example2(grid: Grid, a, b, autonomous: bool | None = None):
 def assemble_example3(grid: Grid):
     """Half-Laplacian semilinear problem: A has symbol |xi| (zero on the
     constant mode) and B(u) = e^u - 1 pointwise (``expm1``)."""
-    freqs = fourier_frequencies(grid)
-    symbol = np.sqrt(sum(xi**2 for xi in freqs))
-    op = SpectralDiagonalOperator(grid, symbol, name="half-laplacian")
-    return op, _example_term(grid, "3")
+    symbol = np.sqrt(sum(xi**2 for xi in fourier_frequencies(grid)))
+    return SpectralDiagonalOperator(grid, symbol), _example_term(grid, "3")
 
 
 def assemble_example4(grid: Grid):
     """Biharmonic phase-field problem: A has symbol |xi|^4 and B(u) is
     the spectral Laplacian of u^3 - u (``double_well_laplacian``)."""
-    freqs = fourier_frequencies(grid)
-    k2 = sum(xi**2 for xi in freqs)
-    op = SpectralDiagonalOperator(grid, k2**2, name="biharmonic")
-    return op, _example_term(grid, "4")
+    k2 = sum(xi**2 for xi in fourier_frequencies(grid))
+    return SpectralDiagonalOperator(grid, k2**2), _example_term(grid, "4")

@@ -18,6 +18,7 @@ from imexbdf.norms import H1, L2, LINF, W1INF, lp_time_norm, spatial_norm
 from imexbdf.operators import (
     PointwiseTerm,
     SparseDiffusionOperator,
+    SpectralDiagonalOperator,
     assemble_example1,
     assemble_example3,
     assemble_example4,
@@ -560,12 +561,17 @@ def _tan_alpha(k):
     return math.tan(math.radians(harness.a_alpha_angle(bdf_scheme(k))))
 
 
+def _sine_symbol(n, ratio):
+    """The threshold experiment's symbol: (1 + i ratio) mu_j on n Dirichlet nodes of (0, 1)."""
+    return (1.0 + 1j * ratio) * ops._sine_symbol(dirichlet_grid((0.0, 1.0), n))
+
+
 @pytest.mark.parametrize("k", range(3, 7))
 def test_sine_symbol_is_the_spectrum_of_the_diffusion_operator(k):
     n, ratio = 16, _tan_alpha(k)
     A = SparseDiffusionOperator(dirichlet_grid((0.0, 1.0), n), 1.0, ratio)
     eigs = np.linalg.eigvals(A.assemble(0.0).toarray())
-    symbol = harness._sine_symbol(n, ratio)
+    symbol = _sine_symbol(n, ratio)
     np.testing.assert_allclose(eigs[np.argsort(eigs.real)], symbol, rtol=1e-12, atol=0.0)
 
 
@@ -574,7 +580,7 @@ def test_orthonormal_dst_diagonalizes_the_diffusion_operator(k):
     n, ratio = 16, _tan_alpha(k)
     A = SparseDiffusionOperator(dirichlet_grid((0.0, 1.0), n), 1.0, ratio)
     S = scipy.fft.dst(np.eye(n), type=1, norm="ortho", axis=0)  # symmetric, S @ S = I
-    symbol = harness._sine_symbol(n, ratio)
+    symbol = _sine_symbol(n, ratio)
     gap = S @ A.assemble(0.0).toarray() @ S - np.diag(symbol)
     assert np.abs(gap).max() <= 1e-12 * np.abs(symbol).max()
 
@@ -603,9 +609,9 @@ def test_sine_march_flags_the_runs_a_nodal_march_flags(k, monkeypatch):
 
 
 def test_diagonal_step_allocates_no_state():
-    symbol = harness._sine_symbol(512, 1.0)
+    symbol = _sine_symbol(512, 1.0)
     block = np.random.default_rng(1).standard_normal((6, 512)) + 0j
-    core = _StepCore(bdf_scheme(5), harness._Diagonal(symbol), 0.01, block[:5], None)
+    core = _StepCore(bdf_scheme(5), SpectralDiagonalOperator(None, symbol), 0.01, block[:5], None)
     core.row = block[5]
     core.step(0.0, None)  # forms sigma + symbol
     tracemalloc.start()
