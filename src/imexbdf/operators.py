@@ -188,6 +188,8 @@ class LinearOperator(ABC):
 
     grid: Grid
     autonomous: bool
+    # True when a shifted solve may iterate from its ``predict``
+    refines = False
 
     @abstractmethod
     def apply(self, t: float, v) -> np.ndarray: ...
@@ -235,9 +237,11 @@ class SparseDiffusionOperator(LinearOperator):
     at t_old a near-exact preconditioner, so the solve refines on it
     (``_refine``) to the backward error of a fresh factor, starting
     from the caller's prediction of u when ``predict`` is given (the
-    stepper passes its order-k extrapolation of the states), and
-    refactorizes at (t, sigma) only when that takes more than
-    ``_REFINE_MAX_STEPS`` corrections.  A new A(t) must give Re<Av, v> > 0 for
+    stepper passes the extrapolation through its five newest states,
+    so ``refines`` is set on such operators), and refactorizes at
+    (t, sigma) when that takes more than ``_REFINE_MAX_STEPS``
+    corrections, which the refinement stops as soon as the residual's
+    observed contraction foretells.  A new A(t) must give Re<Av, v> > 0 for
     4 seeded random v, in 1-d via their cached conj(v_i) v_j (``_band_forms``).
     """
 
@@ -246,6 +250,7 @@ class SparseDiffusionOperator(LinearOperator):
         scalars = isinstance(a, Number) and isinstance(b, Number)
         a, b = ((lambda *_, c=float(f): c) if isinstance(f, Number) else f for f in (a, b))
         self.autonomous = scalars if autonomous is None else bool(autonomous)
+        self.refines = grid.ndim == 2 and not self.autonomous
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
         self._fields = [  # a and b as functions of t on each axis's interfaces
             [f.at(*xs) if isinstance(f, FieldExpr) else functools.partial(f, *xs) for f in (a, b)]
@@ -453,22 +458,30 @@ def _refine(factor, matrix, rhs: np.ndarray, start=None) -> np.ndarray | None:
     backward error is that of a fresh factor: ||rhs - matrix u|| <=
     eps (||matrix|| ||u|| + ||rhs||).  The first iterate is
     start + factor^-1 (rhs - matrix start), or factor^-1 rhs without a
-    ``start``.  None if that takes more than _REFINE_MAX_STEPS
-    corrections."""
+    ``start``.  None after _REFINE_MAX_STEPS corrections, or as soon as
+    the residual's observed contraction says they cannot reach the bound
+    (a NaN residual gives up too)."""
     eps = np.finfo(float).eps
     # ||matrix||_inf: the largest absolute row sum (CSC indices are rows)
     matrix_norm = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
     rhs_norm = np.abs(rhs).max()
     if start is None:
-        u = factor.solve(rhs)
+        u, previous = factor.solve(rhs), rhs_norm
     else:
-        u = start + factor.solve(rhs - matrix @ start)
-    for step in range(_REFINE_MAX_STEPS + 1):
+        residual = rhs - matrix @ start
+        u, previous = start + factor.solve(residual), np.abs(residual).max()
+    for left in range(_REFINE_MAX_STEPS, -1, -1):  # corrections left
         residual = rhs - matrix @ u
-        if np.abs(residual).max() <= eps * (matrix_norm * np.abs(u).max() + rhs_norm):
+        size = np.abs(residual).max()
+        bound = eps * (matrix_norm * np.abs(u).max() + rhs_norm)
+        if size <= bound:
             return u
-        if step < _REFINE_MAX_STEPS:
-            u += factor.solve(residual)
+        # about one bound of the residual is rounding that no correction
+        # removes; the excess shrinks by the last ratio (at most 1) per correction
+        if not left or not (size - bound) * min(size / previous, 1.0) ** left <= bound:
+            break
+        previous = size
+        u += factor.solve(residual)
     return None
 
 

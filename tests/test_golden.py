@@ -6,11 +6,15 @@ change that means to alter an output regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states the change.  The bytes are those of this platform's numpy and
-LAPACK builds; another BLAS may round the last digits differently.
+and states the change; it prints, for each file it writes, whether the
+file changed and by how much its numbers moved.  The bytes are those of
+this platform's numpy and LAPACK builds; another BLAS may round the last
+digits differently.
 """
 
+import math
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -289,15 +293,37 @@ def test_norm_blocks_do_not_change_output(name, tmp_path, monkeypatch):
         assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} changed"
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def deviation(old: bytes, new: bytes) -> str:
+    """How ``new`` differs from ``old``: the largest absolute and relative
+    change of their numbers, paired in the order they appear."""
+    if old == new:
+        return "unchanged"
+    before, after = ([float(x) for x in _NUMBER.findall(data)] for data in (old, new))
+    if len(before) != len(after):
+        return f"changed, {len(before)} numbers became {len(after)}"
+    gaps = [(abs(b - a), abs(b - a) / abs(a) if a else math.inf)
+            for a, b in zip(before, after) if a != b]
+    if not gaps:
+        return "changed, numbers equal"
+    return "changed, max abs {:.2g}, max rel {:.2g}".format(*map(max, zip(*gaps)))
+
+
 def regenerate() -> None:
-    """Rewrite every fixture from the current code."""
+    """Rewrite every fixture from the current code and report each change."""
     with pytest.MonkeyPatch.context() as mp:
         for name in CASES:
             with tempfile.TemporaryDirectory() as tmp:
                 outputs = run_case(name, pathlib.Path(tmp), mp)
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for fname, data in outputs.items():
-                (GOLDEN / name / fname).write_bytes(data)
+                path = GOLDEN / name / fname
+                old = path.read_bytes() if path.exists() else None
+                status = "new" if old is None else deviation(old, data)
+                print(f"{name}/{fname}: {status}")
+                path.write_bytes(data)
 
 
 if __name__ == "__main__":

@@ -858,6 +858,49 @@ PREDICTOR_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
+def test_only_a_refining_run_follows_the_five_state_windows(case, monkeypatch):
+    # the predictor's windows cost a run nothing per step unless its
+    # operator refines: a time-dependent 2-d diffusion operator
+    followed = []
+    original = stepper._StepCore.following
+
+    def counted(self, windows, block):
+        followed.append(len(block))
+        return original(self, windows, block)
+
+    monkeypatch.setattr(stepper._StepCore, "following", counted)
+    A = PREDICTOR_CASES[case]()
+    start = [np.ones(A.grid.shape, dtype=complex)] * 3
+    stepper.run(bdf_scheme(3), A, None, start, 0.02, 10)
+    assert followed == ([11] if case == "2d-time-dependent" else [])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_predictor_windows_for_every_order_and_short_runs(k, monkeypatch):
+    # step n >= 5 predicts from rows n-1..n-5, earlier steps by gamma, for
+    # runs that end before, at and after the first five-state step
+    predictions = []
+    original = stepper._StepCore.predict
+
+    def counted(self):
+        predictions.append(original(self))
+        return predictions[-1]
+
+    monkeypatch.setattr(stepper._StepCore, "predict", counted)
+    gamma = bdf_scheme(k).gamma_f
+    for N in sorted({k, 4, 5, 6, k + 2} - set(range(k))):
+        predictions.clear()
+        A = PREDICTOR_CASES["2d-time-dependent"]()
+        start = [np.full(A.grid.shape, 1.0 - 0.1 * j, dtype=complex) for j in range(k)]
+        traj = stepper.run(bdf_scheme(k), A, None, start, 0.02, N)
+        assert len(predictions) == N - k
+        for n, predicted in zip(range(k + 1, N + 1), predictions):
+            weights = gamma if n < 5 else [5.0, -10.0, 10.0, -5.0, 1.0]
+            expected = sum(w * traj.states[n - 1 - i] for i, w in enumerate(weights))
+            np.testing.assert_allclose(predicted, expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
 def test_predictor_called_only_by_2d_refinement(case, monkeypatch):
     # the predictor is lazy: only a 2-d solve at a new time on an older
     # factor calls it, once per step after the first (which factors)
@@ -878,7 +921,10 @@ def test_predictor_called_only_by_2d_refinement(case, monkeypatch):
         assert predictions == []
         return
     assert len(predictions) == N - k
+    # the quartic through the five newest states, the gamma extrapolation
+    # while fewer than five exist
     gamma = bdf_scheme(k).gamma_f
     for n, predicted in zip(range(k + 1, N + 1), predictions):
-        expected = sum(g * traj.states[n - 1 - i] for i, g in enumerate(gamma))
+        weights = gamma if n < 5 else [5.0, -10.0, 10.0, -5.0, 1.0]
+        expected = sum(w * traj.states[n - 1 - i] for i, w in enumerate(weights))
         np.testing.assert_allclose(predicted, expected, rtol=1e-14, atol=1e-15)

@@ -24,6 +24,7 @@ import sympy
 from imexbdf import imex_stepper as stepper
 from imexbdf import operators as ops
 from imexbdf.bdf_coeffs import bdf_scheme
+from imexbdf.convergence_harness import ManufacturedProblem
 from imexbdf.errors import (
     CoercivityError,
     ConfigError,
@@ -227,9 +228,9 @@ def test_2d_new_shift_refactorizes():
     assert op.factorization_count == base + 1
     np.testing.assert_allclose(u, _fresh_shifted_solve(op, 0.5, 6.0, r), rtol=1e-12)
 
-def _example1_2d(n):
+def _example1_2d(n, rate=1.0):
     g = ops.dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (n, n))
-    coeff = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(t)
+    coeff = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(rate * t)
     return ops.assemble_example1(g, coeff, lambda x, y, t: 0.3 * coeff(x, y, t))
 
 class FreshSolve:
@@ -241,6 +242,9 @@ class FreshSolve:
 
     def shifted_solve(self, t, sigma, r):
         return _fresh_shifted_solve(self.op, t, sigma, r)
+
+    def apply(self, t, v):
+        return self.op.apply(t, v)
 
 def _count_factor_solves(monkeypatch) -> list:
     """Patch ``operators.splu``; the list gets one entry per factor solve."""
@@ -290,6 +294,88 @@ def test_2d_march_from_the_predictor_matches_fresh_factors(monkeypatch):
         plain_op.shifted_solve(t, sigma, r)
     assert plain_op.factorization_count == 1
     assert with_predict < len(solves)
+
+def _march_2d(k, tau, N, n, rate=1.0):
+    """The manufactured example-1 march to e^-t sin(pi x) sin(pi y) on an
+    n x n grid (the benchmark's diffusion_2d at n = 128), checked against
+    the same march solved on a fresh factor at every step."""
+    op, term = _example1_2d(n, rate)
+    X, Y = op.grid.meshes()
+    mode = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    exact = (lambda t: math.exp(-t) * mode, lambda t: -math.exp(-t) * mode)
+    traj = ManufacturedProblem(op.grid, op, term, *exact).solve(bdf_scheme(k), tau, N)
+    ref = ManufacturedProblem(op.grid, FreshSolve(op), term, *exact).solve(bdf_scheme(k), tau, N)
+    assert traj.bounded and len(traj.states) == N + 1
+    for u, v in zip(traj.states, ref.states):
+        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    return op, traj
+
+
+def _gamma_start(monkeypatch):
+    """Start each refinement from the gamma extrapolation that B gets."""
+    monkeypatch.setattr(
+        stepper._StepCore, "predict", lambda core: (core.gamma @ core.hist).reshape(core.shape)
+    )
+
+
+def test_five_state_start_takes_fewer_factor_solves_than_gamma(monkeypatch):
+    # the refinement starts from the quartic through the five newest
+    # states; from the order-k gamma extrapolation, the same marches take
+    # more factor solves (at 16 x 16: 485 against 684 over k = 1..6), and
+    # both land where fresh factors do
+    solves = _count_factor_solves(monkeypatch)
+    counts = {}
+    for start in ("five states", "gamma"):
+        if start == "gamma":
+            _gamma_start(monkeypatch)
+        solves.clear()
+        for k in range(1, 7):
+            op, _ = _march_2d(k, 0.01, 40, 16)
+            assert op.factorization_count == 1
+        counts[start] = len(solves)
+    assert counts["five states"] < counts["gamma"]
+
+
+def _refine_every_correction(factor, matrix, rhs, start=None):
+    """``ops._refine`` without the early stop: it gives up only after
+    _REFINE_MAX_STEPS corrections."""
+    eps = np.finfo(float).eps
+    matrix_norm = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+    rhs_norm = np.abs(rhs).max()
+    if start is None:
+        u = factor.solve(rhs)
+    else:
+        u = start + factor.solve(rhs - matrix @ start)
+    for step in range(ops._REFINE_MAX_STEPS + 1):
+        residual = rhs - matrix @ u
+        if np.abs(residual).max() <= eps * (matrix_norm * np.abs(u).max() + rhs_norm):
+            return u
+        if step < ops._REFINE_MAX_STEPS:
+            u += factor.solve(residual)
+    return None
+
+
+@pytest.mark.parametrize("start", ["five states", "gamma"])
+def test_refinement_stops_when_its_contraction_cannot_reach_the_bound(start, monkeypatch):
+    # with a = 1 + 0.5 sin x sin y cos 30t the factor goes stale within a
+    # few steps; refinements that end by refactorizing stop as soon as
+    # their contraction rules the bound out, so the march takes fewer
+    # factor solves than when each spends every correction, with the same
+    # refactorizations and bit for bit the same states, which match fresh
+    # factors.  At 32 x 32: 585 against 743 solves (26 factorizations)
+    # from five states; 611 against 761 (29) from the gamma start
+    if start == "gamma":
+        _gamma_start(monkeypatch)
+    solves = _count_factor_solves(monkeypatch)
+    early, early_traj = _march_2d(3, 0.01, 100, 32, rate=30.0)
+    early_solves = len(solves)
+    solves.clear()
+    monkeypatch.setattr(ops, "_refine", _refine_every_correction)
+    full, full_traj = _march_2d(3, 0.01, 100, 32, rate=30.0)
+    assert early.factorization_count == full.factorization_count > 1
+    assert early_solves < len(solves)
+    assert np.array_equal(early_traj.states, full_traj.states)
+
 
 def test_operator_time_continuity():
     g = ops.dirichlet_grid((0.0, 1.0), 20)
