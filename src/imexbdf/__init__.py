@@ -1,13 +1,22 @@
 """Implicit-explicit multistep integrators for semilinear parabolic
 problems, with the stability and convergence tooling around them.
 
-The pieces compose bottom-up: ``bdf_coeffs`` produces the rational
-scheme coefficients, ``stability`` analyses them (sector angles,
-thresholds, root sweeps, numerical-range constants), ``operators`` and
-``norms`` supply discretized problems and ways to measure them,
-``imex_stepper`` advances solutions, and ``convergence_harness`` wraps
-manufactured-solution studies.  ``cli`` exposes the lot as the
-``imexbdf`` command.
+The modules compose bottom-up, each importing only from lines above its own:
+
+    errors
+    bdf_coeffs, expressions
+    stability, operators
+    norms
+    imex_stepper
+    convergence_harness
+    config, reports
+    cli
+
+``bdf_coeffs`` makes the scheme coefficients and ``stability`` analyses
+them; ``operators`` and ``norms`` supply discretized problems and their
+measures, ``imex_stepper`` advances solutions, ``convergence_harness``
+runs manufactured-solution studies, ``config`` and ``reports`` read runs
+and write results, and ``cli`` is the ``imexbdf`` command.
 """
 
 from .bdf_coeffs import (

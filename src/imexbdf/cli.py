@@ -5,25 +5,18 @@ Subcommands::
     imexbdf coeffs      --k 3 [--format json|csv] [--out FILE]
     imexbdf stability   --k 4 [--phi 30] [--rho-min 0.01 --rho-max 100
                         --rho-count 61] [--format json|csv] [--out FILE]
-    imexbdf solve       --config run.ini --k 2 --tau 0.01 --steps 100
-                        --out traj.csv
+    imexbdf solve       --config run.ini --k 2 --tau 0.01 --steps 100 --out traj.csv
     imexbdf consistency --config run.ini --k 3 --tau 0.01 --steps 50
     imexbdf converge    --config run.ini --k 3 --tau0 0.1 --levels 5
                         --norms linf,l2 [--assert-order]
-    imexbdf threshold   --k 3 [--ratios 1.0,2.0] [--nodes 48]
-                        [--steps 8000]
+    imexbdf threshold   --k 3 [--ratios 1.0,2.0] [--nodes 48] [--steps 8000]
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical
 failure (divergence, failed solve, unusable report), 4 order check
-failed under ``--assert-order``.
-
-``solve`` writes the trajectory norms to the given CSV, the raw states
-to a ``_states.csv`` sidecar (one row per recorded step, re/im pairs
-per node) and a JSON summary next to them.  The harness subcommands
-write ``BASE.csv`` and ``BASE.json`` where BASE is ``--out`` or the
-config's output path.  JSON carries full precision; CSV rounds to 12
-significant digits.  Runs are deterministic: identical config and seed
-give byte-identical outputs.
+failed under ``--assert-order``.  ``solve`` writes the norms per
+recorded step to its CSV, the raw states to a ``_states.csv`` sidecar
+and a JSON summary; the harness subcommands write ``BASE.csv`` and
+``BASE.json``.  Identical config and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from .errors import (
     StepError,
 )
 from .imex_stepper import bootstrap_starting_values, run
-from .norms import _block_rows, parse_norm_token, spatial_norms
+from .norms import error_blocks, parse_norm_token, spatial_norms
 from .stability import stability_report, von_neumann_sweep
 
 
@@ -239,16 +232,9 @@ def _cmd_solve(args) -> int:
         header += [f"err_{lab}" for lab in labels]
 
     def norm_rows(states, times):
-        """Per state: its norms, then (with an exact solution) its errors',
-        taken a block of states at a time."""
-        rows = _block_rows(built.grid)
-        for s in range(0, len(states), rows):
-            stacks = [states[s : s + rows]]
-            if built.exact is not None:
-                errors = stacks[0].astype(complex)
-                for e, t in zip(errors, times[s : s + rows]):
-                    e -= built.exact(t)
-                stacks.append(errors)
+        """Per state: its norms, then (with an exact solution) its errors'."""
+        for block, errors in error_blocks(states, times, built.exact, built.grid):
+            stacks = [block] if errors is None else [block, errors]
             yield from zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
 
     main_rows = ([n, t, *r] for n, t, r in zip(recorded, times, norm_rows(states, times)))

@@ -1,6 +1,7 @@
 """Config parsing and problem assembly for the command-line tools.
 
-Config files are INI text with four sections::
+Config files are INI text with the sections ``[problem]``, ``[scheme]``,
+``[time]`` and ``[output]``, for example::
 
     [problem]
     example = 1                  ; 1..4 (or I..IV), or "custom"
@@ -10,27 +11,11 @@ Config files are INI text with four sections::
     exact = exp(-t)*sin(pi*x)    ; manufactured solution, optional
     exact_dt = -exp(-t)*sin(pi*x)
 
-    [scheme]
-    k = 2
-
-    [time]
-    tau = 0.01
-    steps = 100
-
-    [output]
-    norms = linf,l2
-    seed = 20260821
-
-Every field has a documented default; unknown sections or keys fail
-with the nearest valid name.  Expressions follow the whitelist grammar
-of the expressions module.  The examples are: (1) divergence-form
-diffusion with pointwise sink and flux divergence, (2) the same
-operator with gradient-dependent forcing, (3) the spectral
-half-Laplacian, (4) the spectral biharmonic with Laplacian-of-f
-forcing; spectral examples live on a periodic torus.  The named terms
-of ``nonlinearity`` and each example's default sum of them come from
-``operators.NONLINEARITY_REGISTRY`` and ``operators.EXAMPLE_TERMS``,
-the lists ``assemble_example1..4`` build from.
+Every field has a documented default (``[scheme] k``, ``[time] tau`` and
+``steps``, ``[output] norms`` and ``seed``, ...); unknown sections or keys
+fail with the nearest valid name.  Expressions follow the grammar of
+``expressions``.  The examples, and the named terms of ``nonlinearity``,
+are those of ``operators.EXAMPLE_TERMS`` and ``NONLINEARITY_REGISTRY``.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bdf_coeffs import BdfScheme
-from .errors import DomainError, FitError
-from .imex_stepper import _check_tau, _windows, make_starting_values, run
-from .norms import LINF, NormKind, _block_rows, lp_time_norm, parse_norm_token, spatial_norms
+from .errors import DomainError, FitError, _check_tau
+from .imex_stepper import _windows, make_starting_values, run
+from .norms import LINF, NormKind, error_blocks, lp_time_norm, parse_norm_token, spatial_norms
 from .operators import Grid, SpectralDiagonalOperator, _sine_symbol, dirichlet_grid
 from .stability import a_alpha_angle
 
@@ -240,11 +240,8 @@ def convergence_study(
         # error rows a block at a time; a block's difference quotients
         # start from the last error of the block before
         per_step, quotients = {lab: [] for lab in labels}, {lab: [] for lab in labels}
-        rows, last = _block_rows(problem.grid), np.empty((0, *problem.grid.shape))
-        for s in range(0, len(traj.states), rows):
-            errors = traj.states[s : s + rows].astype(complex)
-            for n, e in enumerate(errors, s):
-                e -= problem.exact(n * tau)
+        last = np.empty((0, *problem.grid.shape))
+        for _, errors in error_blocks(traj.states, traj.times, problem.exact, problem.grid):
             dq = np.diff(np.concatenate((last, errors)), axis=0) / tau
             last = errors[-1:]
             for kind, lab in zip(kinds, labels):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one step-size
+check that every layer taking a tau uses."""
+
+import math
 
 
 class ImexBdfError(Exception):
@@ -35,3 +38,8 @@ class ReportError(ImexBdfError, ValueError):
 
 class UnsupportedOperationError(ImexBdfError, TypeError):
     """The requested operation is not available for this backend."""
+
+
+def _check_tau(tau) -> None:
+    if not 0.0 < tau < math.inf:  # NaN fails too
+        raise DomainError(f"step size must be positive and finite, got {tau}")

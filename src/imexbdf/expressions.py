@@ -3,23 +3,18 @@
 Coefficient and solution fields in config files are plain arithmetic
 over the grid coordinates and time, e.g. ``1 + 0.5*sin(x)*cos(t)``.
 The grammar is a strict whitelist over the Python expression syntax:
-
-* names: the declared variables (``x``, ``y``, ``t``) and the constants
-  ``pi``, ``e``;
-* functions: ``sin``, ``cos``, ``exp``, ``abs``;
-* operators: ``+ - * / **`` and unary ``+ -``.
-
-Anything else is rejected at parse time with the offending position, so
-config files cannot smuggle arbitrary code.  Compiled fields evaluate
-elementwise over numpy arrays.
+the declared variables (``x``, ``y``, ``t``), the constants ``pi`` and
+``e``, the functions ``sin``, ``cos``, ``exp``, ``abs``, and the
+operators ``+ - * / **`` and unary ``+ -``.  Anything else is rejected
+at parse time with the offending position, so config files cannot
+smuggle arbitrary code.  Compiled fields evaluate elementwise over
+numpy arrays.
 
 ``FieldExpr.at(*coords)`` returns the field on fixed coordinates as a
-function of t, bit-identical to ``field(*coords, t)``: each maximal t-free
-subtree other than a bare name or constant is evaluated once and held
-read-only, with no reassociation (``exp(-t)*sin(pi*x)*sin(pi*y)`` holds
-the two sines apart, never their product); a t-free field returns its one
-read-only array.  ``config`` binds the exact solution to the nodes, and
-``SparseDiffusionOperator`` binds a and b to each axis's interfaces.
+function of t, bit-identical to ``field(*coords, t)``: each maximal
+t-free subtree other than a bare name or constant is evaluated once and
+held read-only, with no reassociation; a t-free field returns its one
+read-only array.
 """
 
 from __future__ import annotations

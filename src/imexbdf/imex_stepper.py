@@ -5,54 +5,30 @@ One step solves
     (delta_0/tau + A(t_n)) u_n =
         sum_i gamma_i B(t_{n-i-1}, u_{n-i-1}) - (1/tau) sum_{i>=1} delta_i u_{n-i},
 
-so each step costs exactly one shifted linear solve.  The implicit side
-sees only A, the explicit side only B, both through the operator
-interfaces.  Each explicit value B(t_j, u_j) is evaluated once, at the
-node time t_j, and reused by the k steps that need it.  ``run`` writes
-every state once, into row n of one preallocated (N + 1, *shape)
-trajectory block: the history side is contracted from the newest-first
-window of the k rows before it (``_windows``, a read-only strided view
-of the block) straight into row n, the explicit side and any implicit
-forcing are added to the row, and the solve overwrites it in place, so
-a step on a cached factor makes no new array.  The block, read-only
-after the march, is ``Trajectory.states``.  The last k explicit values
-sit in a (k, *shape) buffer shifted by one row per step.  ``run``
-validates its input once and builds one step core; each of its steps
-is an ``imex_step`` call on that core, which skips the checks
-``imex_step`` makes on a plain history.  The
-blow-up guard takes one dot product per step, ||u||_2^2: max|u| <=
-||u||_2, so a state with ||u||_2 <= threshold/2 is bounded, and only a
-state that fails that test (NaN, inf and overflow all do) gets the
-exact peak test.  A
-``LinearOperator`` also gets the step's predictor, which a solve that
-iterates starts from (duck-typed operators get three arguments): the
-polynomial extrapolation through the five newest states, weights 5,
--10, 10, -5, 1, which is O(tau^5) and takes a 2-d refinement about
-40% fewer factor solves than the order-k one; while fewer than five
-states exist, the gamma extrapolation of the history that B gets.
-Only a run whose operator ``refines`` follows the five-state windows,
-so no other run does more per step.  A run
-flags divergence instead of raising, so threshold experiments can treat
-blow-up as data.
-
-States take the dtype ``np.result_type(u, complex)`` of the starting
-values, so object arrays of mpmath numbers march in their own arithmetic.
-
-Runs are sequential in n; different runs share no mutable state and can
-execute concurrently.
+so each step costs exactly one shifted linear solve; the implicit side
+sees only A, the explicit side only B, each value B(t_j, u_j) evaluated
+once at its node.  ``run`` writes each state once, into row n of a
+preallocated (N + 1, *shape) block (``Trajectory.states``): the history
+side is contracted from the newest-first window of the k rows before it
+(``_windows``) straight into row n, which is then solved in place.  A
+solve that iterates starts from ``_StepCore.predict``, which reads the
+block by row index.  A run flags blow-up instead of raising, so
+threshold experiments can treat it as data.  States take the dtype
+``np.result_type(u, complex)``, so object arrays of mpmath numbers march
+in their own arithmetic.  Runs share no mutable state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bdf_coeffs import BdfScheme, bdf_scheme
-from .errors import DomainError, StepError
+from .errors import DomainError, StepError, _check_tau
 from .operators import LinearOperator
 
 DIVERGENCE_FACTOR = 1e8  # relative overflow guard for blow-up flagging
@@ -90,11 +66,6 @@ def _peak(u) -> float:
 def _diverged(u, threshold: float) -> bool:
     peak = _peak(u)
     return not math.isfinite(peak) or peak > threshold
-
-
-def _check_tau(tau) -> None:
-    if not 0.0 < tau < math.inf:  # NaN fails too
-        raise DomainError(f"step size must be positive and finite, got {tau}")
 
 
 @dataclass
@@ -157,19 +128,19 @@ class _StepCore:
     """step(t_n, extra_rhs) -> u_n in ``row``, a flat state: the history
     side (rows computed once) contracted from the newest-first (k, size)
     ``hist``, plus the explicit side and forcing, solved in place.
-    ``hist`` and ``row`` are set per step and not checked; so is
-    ``recent``, the five newest states newest first (None while fewer
-    exist), when ``run`` follows them (``following``)."""
+    ``states`` holds u_0, ..., u_{n-1} in its first n rows, oldest first:
+    run's block, or a plain history with n = k.  ``hist``, ``row`` and
+    ``n`` are set per step and not checked."""
 
-    def __init__(self, scheme: BdfScheme, A, tau: float, hist: np.ndarray, explicit):
-        delta, self.A, self.shape = scheme.delta_f, A, hist.shape[1:]
+    def __init__(self, scheme: BdfScheme, A, tau: float, states: np.ndarray, explicit):
+        k, delta, self.A = scheme.k, scheme.delta_f, A
         self.sigma, self.gamma = delta[0] / tau, scheme.gamma_f
         # cast once as the contraction would cast it each step
-        self.rows = (delta[1:] / -tau).astype(np.result_type(hist, complex))
-        self.hist, self.row = _windows(hist, len(hist))[0], None
-        self.recent = self.hist[:5] if len(hist) >= 5 else None
+        self.rows = (delta[1:] / -tau).astype(np.result_type(states, complex))
+        self.states, self.n, self.shape = states, k, states.shape[1:]
+        self.hist, self.row = _windows(states[:k], k)[0], None
         # a view of run's ring buffer, so it follows the buffer's shifts
-        self.explicit = None if explicit is None else _windows(np.asarray(explicit), len(hist))[0]
+        self.explicit = None if explicit is None else _windows(np.asarray(explicit), k)[0]
         # duck-typed operators keep the three-argument solve; the predictor
         # is bound per call, as a stored bound method is a reference cycle
         self.predicts = isinstance(A, LinearOperator)
@@ -177,17 +148,10 @@ class _StepCore:
     def predict(self) -> np.ndarray:
         """u_n to O(tau^5) from the five newest states, or to O(tau^k) by the
         gamma extrapolation that B gets while fewer than five exist."""
-        if self.recent is None:
+        if self.n < 5:
             return (self.gamma @ self.hist).reshape(self.shape)
-        return (_PREDICTOR_WEIGHTS @ self.recent).reshape(self.shape)
-
-    def following(self, windows, block: np.ndarray):
-        """``windows``, step n's histories, setting ``recent`` to rows n-1,
-        ..., n-5 of ``block`` for each step n (None while n < 5)."""
-        k = len(self.rows)
-        fives = _windows(block, 5)[max(0, k - 5) :] if len(block) > 5 else ()
-        for hist, self.recent in zip(windows, chain(repeat(None, 5 - k), fives)):
-            yield hist
+        newest = _windows(self.states[: self.n], 5)[-1]
+        return (_PREDICTOR_WEIGHTS @ newest).reshape(self.shape)
 
     def step(self, t_n, extra_rhs) -> np.ndarray:
         row = np.matmul(self.rows, self.hist, out=self.row)
@@ -282,10 +246,7 @@ def run(
         values = [explicit_value(t, u) for t, u in zip(times[:k].tolist(), block)]
         explicit = np.empty(start.shape, dtype=np.result_type(start, *values))
         explicit[:] = values
-    core = _StepCore(scheme, A, tau, block[:k], explicit)
-    windows = _windows(block, k)  # window n - k is step n's history
-    if getattr(A, "refines", False):
-        windows = core.following(windows, block)
+    core = _StepCore(scheme, A, tau, block, explicit)
 
     # max|u| <= ||u||_2, so the exact peak test runs only where ||u||_2 >
     # threshold/2; ||u||_2^2 is the dot product of the row's real view with
@@ -299,8 +260,9 @@ def run(
     # without an explicit side, and not the last step
     shift_until = k if explicit is None else N
     blow_up = None
+    windows = _windows(block, k)  # window n - k is step n's history
     for n, t_n, extra, hist, row in zip(range(k, N + 1), step_times, extras, windows, flat[k:]):
-        core.hist, core.row = hist, row
+        core.hist, core.row, core.n = hist, row, n
         imex_step(scheme, A, explicit, core, t_n, tau, extra)
         if not (fast and (x := re_im[n]).dot(x) <= bound) and _diverged(row, threshold):
             blow_up = n

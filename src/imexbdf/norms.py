@@ -13,7 +13,8 @@ so a state's norm does not depend on its stack; compensated sums keep
 errors near 1e-10-size temporal residuals clear of round-off.  A
 state whose power sum (or max) overflows or underflows, though the
 state is finite and nonzero, is taken again on v * 2^-e, with 2^e
-above max|v|, and scaled back.
+above max|v|, and scaled back.  ``error_blocks`` walks a trajectory and
+its errors against an exact solution a block of states at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .imex_stepper import _check_tau
+from .errors import ConfigError, DomainError, _check_tau
 from .operators import PERIODIC, Grid, fourier_frequencies, grid_gradient
 
 
@@ -106,6 +106,22 @@ _BLOCK_ELEMENTS = 2**15
 
 def _block_rows(grid: Grid) -> int:
     return max(1, _BLOCK_ELEMENTS // grid.size)
+
+
+def error_blocks(states, times, exact, grid: Grid):
+    """Walk a (m, *grid.shape) stack of states a block of consecutive rows
+    at a time, yielding (block, block - exact(t_n)) with ``times[n]`` the
+    time of state n, or (block, None) when ``exact`` is None."""
+    rows = _block_rows(grid)
+    for s in range(0, len(states), rows):
+        block = states[s : s + rows]
+        if exact is None:
+            yield block, None
+            continue
+        errors = block.astype(complex)
+        for e, t in zip(errors, times[s : s + rows]):
+            e -= exact(t)
+        yield block, errors
 
 
 def _gradient_magnitude(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -1,30 +1,19 @@
 """Discrete grids, linear operators, and explicit-side nonlinear terms.
 
 Two operator backends feed the time stepper through one interface:
-
-* sparse finite differences for variable-coefficient diffusion
-  -div((a + ib) grad u) in conservative form on Dirichlet or periodic
-  grids,
-* one spectral-diagonal operator: Fourier multipliers on periodic grids
-  (|xi|, |xi|^4), or a symbol on mode coefficients (the sine modes).
-
-The 1-d stencil is held as its bands (plus two corners when periodic),
-formed straight from the interface coefficients and factored with
-LAPACK's banded LU; the 2-d stencil is a CSC matrix, factored with SuperLU.
-
-Nonlinear terms B(t, v) are evaluated on grid states, one job per
-class: pointwise maps, div g(v), f(v, grad v), the spectral Laplacian
-of f(v), and weighted sums.  The explicit parts of the paper's four
-examples are named once, in ``NONLINEARITY_REGISTRY`` and
-``EXAMPLE_TERMS``; ``build_explicit_term`` builds both
-``assemble_example1..4`` and the config's ``nonlinearity`` from them.
-The stepper only ever sees ``apply``, the shifted solve and
-``evaluate``.  Grid operators take and return complex arrays shaped
-like the grid; ``shifted_solve`` never overwrites its right-hand side
-and returns a fresh array.  The stepper solves through the private
-``_solve_in_place``, which overwrites the right-hand side, a row of the
-stepper's trajectory block, with the solution: with no state-sized array on
-a cached 1-d factor or a diagonal symbol, else by copying ``shifted_solve``'s result.
+sparse finite differences for -div((a + ib) grad u) in conservative form
+on Dirichlet or periodic grids (the 1-d stencil held as its bands and
+factored by LAPACK's banded LU, the 2-d one a CSC matrix factored by
+SuperLU), and one spectral-diagonal operator, solved exactly in the
+basis that diagonalizes it.  Nonlinear terms B(t, v) are evaluated on
+grid states, one job per class: pointwise maps, div g(v), f(v, grad v),
+the spectral Laplacian of f(v), and weighted sums.  The explicit parts
+of the paper's four examples are named once, in
+``NONLINEARITY_REGISTRY`` and ``EXAMPLE_TERMS``.  Grid operators take
+and return complex arrays shaped like the grid; ``shifted_solve`` never
+overwrites its right-hand side.  The stepper solves through the private
+``_solve_in_place``, which overwrites the right-hand side, a row of its
+trajectory block, with the solution.
 """
 
 from __future__ import annotations
@@ -67,8 +56,8 @@ class Grid:
         if not 1 <= len(self.extents) <= 2 or len(self.extents) != len(self.npts):
             raise DomainError("grid needs matching extents and npts for 1 or 2 axes")
         for (lo, hi), n in zip(self.extents, self.npts):
-            if hi <= lo:
-                raise DomainError(f"empty extent ({lo}, {hi})")
+            if not -np.inf < lo < hi < np.inf:  # NaN fails too
+                raise DomainError(f"extent ({lo}, {hi}) must be finite and nonempty")
             if n < 4:
                 raise DomainError(f"need at least 4 points per axis, got {n}")
 
@@ -98,17 +87,22 @@ class Grid:
         return lo + offset + h * np.arange(n)
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        axes = [self.axis_nodes(i) for i in range(self.ndim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return _mesh(*(self.axis_nodes(i) for i in range(self.ndim)))
 
     def coords(self):
         """Coordinate argument handed to field functions: the node array
         in 1d, the (X, Y) mesh pair in 2d, read-only so that a term
         can build it once and pass it to every evaluation."""
         meshes = self.meshes()
-        for arr in meshes:
-            arr.setflags(write=False)
         return meshes[0] if self.ndim == 1 else meshes
+
+
+def _mesh(*axes) -> tuple[np.ndarray, ...]:
+    """The "ij" meshes of the coordinate ``axes``, read-only."""
+    meshes = np.meshgrid(*axes, indexing="ij")
+    for arr in meshes:
+        arr.setflags(write=False)
+    return tuple(meshes)
 
 
 def dirichlet_grid(extent, npts) -> Grid:
@@ -188,8 +182,6 @@ class LinearOperator(ABC):
 
     grid: Grid
     autonomous: bool
-    # True when a shifted solve may iterate from its ``predict``
-    refines = False
 
     @abstractmethod
     def apply(self, t: float, v) -> np.ndarray: ...
@@ -237,8 +229,8 @@ class SparseDiffusionOperator(LinearOperator):
     at t_old a near-exact preconditioner, so the solve refines on it
     (``_refine``) to the backward error of a fresh factor, starting
     from the caller's prediction of u when ``predict`` is given (the
-    stepper passes the extrapolation through its five newest states,
-    so ``refines`` is set on such operators), and refactorizes at
+    stepper passes the extrapolation through its five newest states),
+    and refactorizes at
     (t, sigma) when that takes more than ``_REFINE_MAX_STEPS``
     corrections, which the refinement stops as soon as the residual's
     observed contraction foretells.  A new A(t) must give Re<Av, v> > 0 for
@@ -250,7 +242,6 @@ class SparseDiffusionOperator(LinearOperator):
         scalars = isinstance(a, Number) and isinstance(b, Number)
         a, b = ((lambda *_, c=float(f): c) if isinstance(f, Number) else f for f in (a, b))
         self.autonomous = scalars if autonomous is None else bool(autonomous)
-        self.refines = grid.ndim == 2 and not self.autonomous
         self._iface_coords = [_interface_coords(grid, axis) for axis in range(grid.ndim)]
         self._fields = [  # a and b as functions of t on each axis's interfaces
             [f.at(*xs) if isinstance(f, FieldExpr) else functools.partial(f, *xs) for f in (a, b)]
@@ -312,8 +303,8 @@ class SparseDiffusionOperator(LinearOperator):
         else:
             probes = _coercivity_probes(self.grid.shape).reshape(-1, self.grid.size)
             values = np.vecdot(probes, (stencil @ np.ascontiguousarray(probes.T)).T).real
-        if np.any(values <= 0.0):
-            raise CoercivityError("diffusion operator: random state with nonpositive Re<Av,v>")
+        if not np.all(values > 0.0):  # NaN fails too
+            raise CoercivityError("diffusion operator: Re<Av,v> not positive for a random state")
         with self._lock:
             self._stencil_cache = (key, stencil)
         return stencil
@@ -495,15 +486,9 @@ def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:
         mids = lo + h * (np.arange(n + 1) + 0.5)
     else:
         mids = lo + h * (np.arange(n) - 0.5)
-    if grid.ndim == 1:
-        coords = (mids,)
-    elif axis == 0:
-        coords = tuple(np.meshgrid(mids, grid.axis_nodes(1), indexing="ij"))
-    else:
-        coords = tuple(np.meshgrid(grid.axis_nodes(0), mids, indexing="ij"))
-    for arr in coords:
-        arr.setflags(write=False)
-    return coords
+    axes = [grid.axis_nodes(i) for i in range(grid.ndim)]
+    axes[axis] = mids
+    return _mesh(*axes)
 
 
 def _stencil_pattern(grid: Grid):
@@ -655,10 +640,8 @@ def _padded_coords(grid: Grid):
         np.concatenate([[lo], grid.axis_nodes(axis), [hi]])
         for axis, (lo, hi) in enumerate(grid.extents)
     ]
-    coords = np.meshgrid(*axes, indexing="ij")
-    for arr in coords:
-        arr.setflags(write=False)
-    return coords[0] if grid.ndim == 1 else tuple(coords)
+    coords = _mesh(*axes)
+    return coords[0] if grid.ndim == 1 else coords
 
 
 def _centered_divergence(components, grid: Grid) -> np.ndarray:

@@ -28,7 +28,7 @@ import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .bdf_coeffs import BdfScheme
-from .errors import CoercivityError, ComputationError, DomainError
+from .errors import CoercivityError, ComputationError, DomainError, _check_tau
 
 # Root-modulus tolerance for the von Neumann test, and the minimal
 # pairwise distance for boundary roots to count as simple.
@@ -250,8 +250,7 @@ def von_neumann_sweep(
         raise DomainError("rho_grid must be a nonempty 1-d array")
     if not (rho.min() > 0.0 and rho.max() < math.inf):  # NaN fails too
         raise DomainError("all rho values must be positive and finite")
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi}")
     # delta_i multiplies zeta^{k-i}; one companion matrix per rho, built

@@ -857,24 +857,6 @@ PREDICTOR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
-def test_only_a_refining_run_follows_the_five_state_windows(case, monkeypatch):
-    # the predictor's windows cost a run nothing per step unless its
-    # operator refines: a time-dependent 2-d diffusion operator
-    followed = []
-    original = stepper._StepCore.following
-
-    def counted(self, windows, block):
-        followed.append(len(block))
-        return original(self, windows, block)
-
-    monkeypatch.setattr(stepper._StepCore, "following", counted)
-    A = PREDICTOR_CASES[case]()
-    start = [np.ones(A.grid.shape, dtype=complex)] * 3
-    stepper.run(bdf_scheme(3), A, None, start, 0.02, 10)
-    assert followed == ([11] if case == "2d-time-dependent" else [])
-
-
 @pytest.mark.parametrize("k", range(1, 7))
 def test_predictor_windows_for_every_order_and_short_runs(k, monkeypatch):
     # step n >= 5 predicts from rows n-1..n-5, earlier steps by gamma, for
@@ -928,3 +910,30 @@ def test_predictor_called_only_by_2d_refinement(case, monkeypatch):
         weights = gamma if n < 5 else [5.0, -10.0, 10.0, -5.0, 1.0]
         expected = sum(w * traj.states[n - 1 - i] for i, w in enumerate(weights))
         np.testing.assert_allclose(predicted, expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_2d_run_matches_plain_history_imex_step_with_its_predictions(k, monkeypatch):
+    # one predictor rule for both entry points: a plain history of k >= 5
+    # states predicts from them as run predicts from the rows before n
+    calls = []  # the n of each prediction
+    original = stepper._StepCore.predict
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(stepper._StepCore, "predict", counted)
+    g = dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), (10, 10))
+    a = lambda x, y, t: 1.0 + 0.2 * np.sin(x + y + 3.0 * t)
+    X, Y = g.meshes()
+    B = PointwiseTerm(g, lambda u: -(u**3))
+    start = [np.sin(np.pi * X) * np.sin(np.pi * Y) * math.exp(-0.1 * j) for j in range(k)]
+    tau, N = 0.02, k + 8
+    traj = stepper.run(bdf_scheme(k), SparseDiffusionOperator(g, a, 0.3), B, start, tau, N)
+    hand = _hand_stepped(bdf_scheme(k), SparseDiffusionOperator(g, a, 0.3), B, start, tau, N)
+    # each solve after the first refines on an older factor
+    assert calls == list(range(k + 1, N + 1)) + [k] * (N - k)
+    assert traj.blow_up is None and len(traj.states) == len(hand) == N + 1
+    for u, v in zip(traj.states, hand):
+        np.testing.assert_array_equal(u, v)

@@ -180,6 +180,24 @@ def test_spatial_norms_match_per_state_reference_bitwise(name):
             assert norms.spatial_norm(stack[-1], kind, g) == expected[-1]
 
 
+@pytest.mark.parametrize("with_exact", [False, True])
+def test_error_blocks_cover_the_states_in_block_rows(with_exact):
+    g = dirichlet_grid([(0.0, 1.0), (0.0, 2.0)], (40, 50))
+    C = norms._block_rows(g)
+    states = np.random.default_rng(5).standard_normal((2 * C + 1, *g.shape))
+    times = 0.1 * np.arange(len(states))
+    exact = (lambda t: np.full(g.shape, t)) if with_exact else None
+    walked = list(norms.error_blocks(states, times, exact, g))
+    assert [len(block) for block, _ in walked] == [C, C, 1]
+    np.testing.assert_array_equal(np.concatenate([block for block, _ in walked]), states)
+    if not with_exact:
+        assert all(errors is None for _, errors in walked)
+        return
+    errors = np.concatenate([errors for _, errors in walked])
+    np.testing.assert_array_equal(errors, states - times[:, None, None])
+    assert errors.dtype == complex
+
+
 def test_spatial_norms_rejects_a_state_that_is_not_a_stack():
     g = dirichlet_grid((0.0, 1.0), 16)
     assert norms.spatial_norms(np.ones((0, 16)), norms.L2, g) == []

@@ -72,6 +72,23 @@ def test_grid_rejects_empty_extent():
     with pytest.raises(DomainError):
         ops.dirichlet_grid((1.0, 1.0), 8)
 
+@pytest.mark.parametrize("make_grid", [ops.dirichlet_grid, ops.periodic_grid])
+@pytest.mark.parametrize("extent", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_grid_rejects_non_finite_extent(ndim, extent, make_grid):
+    # NaN passes a hi <= lo test; either would give NaN spacings
+    extents, npts = (extent, 8) if ndim == 1 else ([(0.0, 1.0), extent], (8, 8))
+    with pytest.raises(DomainError, match="finite"):
+        make_grid(extents, npts)
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_underflowing_spacing_fails_the_spot_check(ndim):
+    # h^2 underflows to 0, so the stencil is inf and the probes' Re<Av,v> NaN
+    extents = (0.0, 1e-200) if ndim == 1 else [(0.0, 1.0), (0.0, 1e-200)]
+    grid = ops.dirichlet_grid(extents, (8,) * ndim)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(CoercivityError):
+        ops.SparseDiffusionOperator(grid, 1.0, 0.0)
+
 def test_grid_rejects_unknown_boundary():
     with pytest.raises(DomainError):
         ops.Grid(((0.0, 1.0),), (8,), "neumann")

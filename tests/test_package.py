@@ -1,6 +1,8 @@
 """Package export surface and module layout."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import imexbdf
@@ -26,3 +28,18 @@ def test_every_linear_operator_lives_in_operators():
     defined = [c for c in _subclasses(LinearOperator) if c.__module__.split(".")[0] == "imexbdf"]
     assert defined
     assert [c.__qualname__ for c in defined if c.__module__ != "imexbdf.operators"] == []
+
+
+def test_modules_import_only_from_the_layers_below_their_own():
+    # the layers are the indented lines of the package docstring, bottom first
+    lines = [line for line in imexbdf.__doc__.splitlines() if line.startswith("    ")]
+    rank = {name.strip(): i for i, line in enumerate(lines) for name in line.split(",")}
+    src = pathlib.Path(imexbdf.__file__).parent
+    assert set(rank) == {path.stem for path in src.glob("*.py")} - {"__init__"}
+    upward = []
+    for name in sorted(rank):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                upward += [(name, t) for t in targets if rank[t] >= rank[name]]
+    assert upward == []
