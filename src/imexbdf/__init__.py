@@ -19,6 +19,8 @@ runs manufactured-solution studies, ``config`` and ``reports`` read runs
 and write results, and ``cli`` is the ``imexbdf`` command.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bdf_coeffs import (
     MAX_STEP_NUMBER,
     BdfScheme,
@@ -118,86 +120,9 @@ from .stability import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules are bound here too
 __all__ = [
-    "MAX_STEP_NUMBER",
-    "BdfScheme",
-    "OrderConditionReport",
-    "bdf_scheme",
-    "delta_coeffs",
-    "gamma_coeffs",
-    "mu_coeffs",
-    "verify_order_conditions",
-    "BuiltProblem",
-    "RunConfig",
-    "build_nonlinearity",
-    "build_problem",
-    "override",
-    "parse_config",
-    "ConsistencyResult",
-    "ConvergenceReport",
-    "ConvergenceRow",
-    "ManufacturedProblem",
-    "OrderFit",
-    "ThresholdReport",
-    "ThresholdRow",
-    "consistency_errors",
-    "convergence_study",
-    "default_threshold_ratios",
-    "fit_order",
-    "scalar_convergence_study",
-    "threshold_experiment",
-    "CoercivityError",
-    "ComputationError",
-    "ConfigError",
-    "DomainError",
-    "FitError",
-    "ImexBdfError",
-    "ReportError",
-    "StepError",
-    "UnsupportedOperationError",
-    "DIVERGENCE_FACTOR",
-    "Trajectory",
-    "bootstrap_starting_values",
-    "imex_step",
-    "make_starting_values",
-    "run",
-    "H1",
-    "L2",
-    "LINF",
-    "W1INF",
-    "NormKind",
-    "NormPart",
-    "lp_time_norm",
-    "parse_norm_token",
-    "spatial_norm",
-    "DIRICHLET",
-    "PERIODIC",
-    "DivergenceFormTerm",
-    "GradientFormTerm",
-    "Grid",
-    "LaplacianPointwiseTerm",
-    "LinearOperator",
-    "NonlinearTerm",
-    "PointwiseTerm",
-    "ScaledSumTerm",
-    "SparseDiffusionOperator",
-    "SpectralDiagonalOperator",
-    "assemble_example1",
-    "assemble_example2",
-    "assemble_example3",
-    "assemble_example4",
-    "dirichlet_grid",
-    "fourier_frequencies",
-    "periodic_grid",
-    "CoefficientLambda",
-    "RootSweepResult",
-    "StabilityReport",
-    "a_alpha_angle",
-    "angle_of_analyticity_check",
-    "coefficient_lambda",
-    "lambda_threshold",
-    "stability_constant",
-    "stability_report",
-    "von_neumann_sweep",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -11,12 +11,13 @@ Subcommands::
                         --norms linf,l2 [--assert-order]
     imexbdf threshold   --k 3 [--ratios 1.0,2.0] [--nodes 48] [--steps 8000]
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-failure (divergence, failed solve, unusable report), 4 order check
-failed under ``--assert-order``.  ``solve`` writes the norms per
-recorded step to its CSV, the raw states to a ``_states.csv`` sidecar
-and a JSON summary; the harness subcommands write ``BASE.csv`` and
-``BASE.json``.  Identical config and seed give byte-identical outputs.
+Exit codes: 0 success, 2 configuration or usage error (an output
+path that cannot be written is one), 3 numerical failure (divergence,
+failed solve, unusable report), 4 order check failed under
+``--assert-order``.  ``solve`` writes the norms per recorded step to
+its CSV, the raw states to a ``_states.csv`` sidecar and a JSON
+summary; the harness subcommands write ``BASE.csv`` and ``BASE.json``.
+Identical config and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -169,13 +170,20 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _load(args, **overrides) -> tuple[RunConfig, BuiltProblem]:
+def _load(args, required, **overrides) -> tuple[RunConfig, BuiltProblem]:
+    """The config with its command-line ``overrides``, and the problem
+    built from it; each ``[time]`` field named in ``required`` must be set."""
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     cfg = override(parse_config(text), **overrides)
+    for name in required:
+        if getattr(cfg, name) is None:
+            raise ConfigError(
+                f"time.{name} is required for {args.command} (config or --{name})"
+            )
     try:
         # a coefficient that is inf or NaN on the grid is reported as a
         # config error below, not also as numpy's RuntimeWarning
@@ -195,19 +203,18 @@ def _norm_kinds(cfg: RunConfig):
 
 
 def _cmd_solve(args) -> int:
+    if not args.out:
+        raise ConfigError("--out must not be empty")
     cfg, built = _load(
-        args, k=args.k, tau=args.tau, steps=args.steps, stride=args.stride
+        args, ("tau", "steps"), k=args.k, tau=args.tau, steps=args.steps, stride=args.stride
     )
-    if cfg.tau is None:
-        raise ConfigError("time.tau is required for solve (config or --tau)")
-    if cfg.steps is None:
-        raise ConfigError("time.steps is required for solve (config or --steps)")
     scheme = bdf_scheme(cfg.k)
     kinds, labels = _norm_kinds(cfg)
 
-    if built.manufactured is not None:
-        problem = built.manufactured
+    problem = built.manufactured
+    if problem is not None:
         traj = problem.solve(scheme, cfg.tau, cfg.steps)
+        exact = problem.exact
     else:
         # no exact solution: start from seeded random data and bootstrap
         rng = np.random.default_rng(cfg.seed)
@@ -219,6 +226,7 @@ def _cmd_solve(args) -> int:
         traj = run(
             scheme, built.operator, built.nonlinear, starting, cfg.tau, cfg.steps
         )
+        exact = None
 
     stem, ext = os.path.splitext(args.out)
     csv_path = args.out if ext else stem + ".csv"
@@ -228,12 +236,12 @@ def _cmd_solve(args) -> int:
     recorded = range(0, len(traj.states), cfg.stride)
     states, times = traj.states[:: cfg.stride], traj.times[:: cfg.stride]
     header = ["n", "t"] + labels
-    if built.exact is not None:
+    if exact is not None:
         header += [f"err_{lab}" for lab in labels]
 
     def norm_rows(states, times):
         """Per state: its norms, then (with an exact solution) its errors'."""
-        for block, errors in error_blocks(states, times, built.exact, built.grid):
+        for block, errors in error_blocks(states, times, exact, built.grid):
             stacks = [block] if errors is None else [block, errors]
             yield from zip(*[spatial_norms(v, kind, built.grid) for v in stacks for kind in kinds])
 
@@ -259,7 +267,7 @@ def _cmd_solve(args) -> int:
         "final_norms": dict(zip(labels, final)),
         "outputs": {"csv": csv_path, "states_csv": states_path, "json": json_path},
     }
-    if built.exact is not None:
+    if exact is not None:
         payload["final_errors"] = dict(zip(labels, final[len(kinds) :]))
     reports.write_json(json_path, payload)
 
@@ -274,65 +282,55 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _out_base(args, cfg: RunConfig) -> str:
-    return args.out if args.out else cfg.path
+def _write(base: str, table, payload: dict) -> str:
+    """Write ``table`` (header, rows) to BASE.csv and ``payload`` to
+    BASE.json, naming both files under its last key, ``"outputs"``;
+    return the message that says so."""
+    csv_path, json_path = base + ".csv", base + ".json"
+    reports.write_csv(csv_path, *table)
+    outputs = {"csv": csv_path, "json": json_path}
+    reports.write_json(json_path, {**payload, "outputs": outputs})
+    return f"wrote {csv_path}, {json_path}"
 
 
 def _cmd_consistency(args) -> int:
-    cfg, built = _load(args, k=args.k, tau=args.tau, steps=args.steps)
-    if cfg.tau is None:
-        raise ConfigError("time.tau is required for consistency (config or --tau)")
-    if cfg.steps is None:
-        raise ConfigError("time.steps is required for consistency (config or --steps)")
+    cfg, built = _load(args, ("tau", "steps"), k=args.k, tau=args.tau, steps=args.steps)
     problem = built.require_manufactured()
     scheme = bdf_scheme(cfg.k)
     kinds, labels = _norm_kinds(cfg)
     result = consistency_errors(problem, scheme, cfg.tau, cfg.steps, kind=kinds[0])
-    base = _out_base(args, cfg)
-    header, rows = reports.consistency_rows(result)
-    reports.write_csv(base + ".csv", header, rows)
     payload = {
         **_echo(cfg),
         "norm": labels[0],
         **reports.consistency_payload(result),
-        "outputs": {"csv": base + ".csv", "json": base + ".json"},
     }
-    reports.write_json(base + ".json", payload)
-    print(
-        f"k={cfg.k} tau={cfg.tau:g}: max defect norm "
-        f"{result.max_norm:.6e}; wrote {base}.csv, {base}.json"
-    )
+    wrote = _write(args.out or cfg.path, reports.consistency_rows(result), payload)
+    print(f"k={cfg.k} tau={cfg.tau:g}: max defect norm {result.max_norm:.6e}; {wrote}")
     return 0
 
 
 def _cmd_converge(args) -> int:
     cfg, built = _load(
-        args, k=args.k, tau0=args.tau0, levels=args.levels, norms=args.norms
+        args, ("tau0",), k=args.k, tau0=args.tau0, levels=args.levels, norms=args.norms
     )
-    if cfg.tau0 is None:
-        raise ConfigError("time.tau0 is required for converge (config or --tau0)")
     problem = built.require_manufactured()
     scheme = bdf_scheme(cfg.k)
     kinds, labels = _norm_kinds(cfg)
     final_time = cfg.final_time if cfg.final_time is not None else 1.0
     tau_list = [cfg.tau0 / 2**j for j in range(cfg.levels)]
     report = convergence_study(problem, scheme, tau_list, final_time, norms=kinds)
-    base = _out_base(args, cfg)
-    header, rows = reports.convergence_rows(report)
-    reports.write_csv(base + ".csv", header, rows)
     payload = {
         **_echo(cfg),
         "final_time": final_time,
         **reports.convergence_payload(report),
-        "outputs": {"csv": base + ".csv", "json": base + ".json"},
     }
-    reports.write_json(base + ".json", payload)
+    wrote = _write(args.out or cfg.path, reports.convergence_rows(report), payload)
     for lab in labels:
         fit = report.fits.get(lab)
         slope = f"{fit.slope:.3f}" if fit else "n/a"
         verdict = "ok" if report.passes.get(lab) else "FAIL"
         print(f"k={cfg.k} norm={lab}: fitted order {slope} ({verdict})")
-    print(f"wrote {base}.csv, {base}.json")
+    print(wrote)
     if args.assert_order and not all(report.passes.get(lab) for lab in labels):
         raise OrderCheckFailure(
             f"fitted orders below k - 0.1 = {scheme.k - 0.1:g} for: "
@@ -356,22 +354,17 @@ def _cmd_threshold(args) -> int:
         n_steps=args.steps,
         seed=args.seed,
     )
-    base = args.out or f"threshold_k{args.k}"
-    header, rows = reports.threshold_rows(report)
-    reports.write_csv(base + ".csv", header, rows)
     payload = {
         "seed": args.seed,
         "nodes": args.nodes,
         "steps": args.steps,
         **reports.threshold_payload(report),
-        "outputs": {"csv": base + ".csv", "json": base + ".json"},
     }
-    reports.write_json(base + ".json", payload)
+    wrote = _write(args.out or f"threshold_k{args.k}", reports.threshold_rows(report), payload)
     lo, hi = report.bracket
     print(
         f"k={args.k} tan(alpha)={report.tan_alpha:.6f}: "
-        f"largest bounded ratio {lo}, smallest unstable {hi}; "
-        f"wrote {base}.csv, {base}.json"
+        f"largest bounded ratio {lo}, smallest unstable {hi}; {wrote}"
     )
     return 0
 
@@ -404,6 +397,9 @@ def main(argv=None) -> int:
     except (StepError, ComputationError, FitError, ReportError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -296,6 +296,8 @@ def parse_config(text: str) -> RunConfig:
     levels = _get_int(time_sec, "time", "levels", default=5, minimum=3)
 
     path = output.get("path", "out").strip()
+    if not path:
+        raise ConfigError("output.path must not be empty")
     norms = output.get("norms", "linf,l2").strip()
     for token in norms.split(","):
         parse_norm_token(token)
@@ -370,13 +372,10 @@ def build_nonlinearity(text: str, grid: Grid):
 class BuiltProblem:
     """Everything a subcommand needs, assembled from one config."""
 
-    config: RunConfig
     grid: Grid
     operator: object
     nonlinear: object | None
-    exact: object | None = None  # t -> state
-    exact_dt: object | None = None
-    manufactured: ManufacturedProblem | None = field(default=None)
+    manufactured: ManufacturedProblem | None = None
 
     def require_manufactured(self) -> ManufacturedProblem:
         if self.manufactured is None:
@@ -412,11 +411,9 @@ def build_problem(cfg: RunConfig) -> BuiltProblem:
         autonomous = not (a_expr.time_dependent or b_expr.time_dependent)
         operator = SparseDiffusionOperator(grid, a_expr, b_expr, autonomous=autonomous)
     term = build_nonlinearity(cfg.nonlinearity, grid)
-    built = BuiltProblem(config=cfg, grid=grid, operator=operator, nonlinear=term)
-    if cfg.exact is not None:
-        built.exact = _state_evaluator(compile_field(cfg.exact, variables), grid)
-        built.exact_dt = _state_evaluator(compile_field(cfg.exact_dt, variables), grid)
-        built.manufactured = ManufacturedProblem(
-            grid, operator, term, built.exact, built.exact_dt
-        )
-    return built
+    if cfg.exact is None:
+        return BuiltProblem(grid, operator, term)
+    exact = _state_evaluator(compile_field(cfg.exact, variables), grid)
+    exact_dt = _state_evaluator(compile_field(cfg.exact_dt, variables), grid)
+    manufactured = ManufacturedProblem(grid, operator, term, exact, exact_dt)
+    return BuiltProblem(grid, operator, term, manufactured)

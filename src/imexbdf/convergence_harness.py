@@ -97,10 +97,16 @@ def consistency_errors(
 ) -> ConsistencyResult:
     """Defect d_n of the exact solution in the recursion, n = k..N.
 
-    d_n is the difference between the discrete time derivative and
-    forcing terms the scheme uses and their exact counterparts.  The
-    operator contribution cancels algebraically against the forcing, so
-    the computation uses the cancelled form
+    d_n is the defect of the recursion that adds the forcing F at t_n,
+
+        (1/tau) sum_i delta_i u_{n-i} + A(t_n) u_n
+            = sum_i gamma_i B(t_{n-i-1}, u_{n-i-1}) + F(t_n),
+
+    which ``ManufacturedProblem.solve`` marches only when B is absent.
+    With B it gamma-extrapolates F too, and the defect of that march
+    adds F(t_n) - sum_i gamma_i F(t_{n-i-1}), which d_n leaves out.
+    Since F = u' + Au - B, the operator contribution cancels
+    algebraically, and the computation uses the cancelled form
 
         d_n = [ (1/tau) sum_i delta_i u(t_{n-i}) - u'(t_n) ]
             + [ B(t_n, u(t_n)) - sum_i gamma_i B(t_{n-i-1}, u(t_{n-i-1})) ]

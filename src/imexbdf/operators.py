@@ -60,6 +60,9 @@ class Grid:
                 raise DomainError(f"extent ({lo}, {hi}) must be finite and nonempty")
             if n < 4:
                 raise DomainError(f"need at least 4 points per axis, got {n}")
+        # a finite extent whose width overflows, or whose cells underflow
+        if not all(0.0 < h < np.inf for h in self.h):
+            raise DomainError(f"grid spacings {self.h} must be positive and finite")
 
     @property
     def ndim(self) -> int:

@@ -502,6 +502,62 @@ def test_non_finite_number_exits_two(capsys, tmp_path, argv):
     assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("solve", "tau"),
+        ("solve", "steps"),
+        ("consistency", "tau"),
+        ("consistency", "steps"),
+        ("converge", "tau0"),  # MANUFACTURED sets no tau0
+    ],
+)
+def test_missing_time_field_exits_two(capsys, tmp_path, command, name):
+    cfg = tmp_path / "run.ini"
+    lines = MANUFACTURED.splitlines(keepends=True)
+    cfg.write_text("".join(line for line in lines if not line.startswith(f"{name} =")))
+    code, out, err = run_cli(
+        capsys, command, "--config", str(cfg), "--out", str(tmp_path / "x")
+    )
+    assert code == 2 and out == ""
+    assert err == f"config error: time.{name} is required for {command} (config or --{name})\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--k", "3"],
+        ["threshold", "--k", "3", "--ratios", "1.0", "--nodes", "8", "--steps", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "x"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("cannot write output: ") and str(out.parent) in err
+
+
+@pytest.mark.parametrize(
+    "command, config_tail, argv_tail",
+    [
+        ("consistency", "path =\n", []),  # writes to the config's output path
+        ("solve", "", ["--out", ""]),
+    ],
+    ids=["config-path", "solve-out"],
+)
+def test_empty_output_base_exits_two(
+    capsys, tmp_path, monkeypatch, command, config_tail, argv_tail
+):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MANUFACTURED + config_tail)  # MANUFACTURED ends in [output]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), *argv_tail)
+    assert code == 2 and err.startswith("config error: ") and "empty" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def child_env():
     """The environment of a child that imports the same imexbdf as this
     process, installed or not."""

@@ -297,7 +297,7 @@ class TestBuildProblem:
         )
         built = build_problem(cfg)
         built.require_manufactured()
-        u0 = built.exact(0.0)
+        u0 = built.manufactured.exact(0.0)
         np.testing.assert_allclose(
             u0, np.sin(np.pi * built.grid.axis_nodes(0)), atol=1e-15
         )
@@ -308,7 +308,7 @@ class TestBuildProblem:
             "exact = exp(-t)\nexact_dt = -exp(-t)\n[scheme]\nk = 1\n"
         )
         built = build_problem(cfg)
-        state = built.exact(0.5)
+        state = built.manufactured.exact(0.5)
         assert state.shape == (16,)
         np.testing.assert_allclose(state, np.exp(-0.5))
 

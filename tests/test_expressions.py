@@ -170,6 +170,6 @@ class TestBinding:
         assert not built.operator.autonomous
         for t in np.linspace(0.0, 1.0, 50):
             built.operator.assemble(t)
-            built.exact(t)
-            built.exact_dt(t)
+            built.manufactured.exact(t)
+            built.manufactured.exact_dt(t)
         assert len(calls) == expected

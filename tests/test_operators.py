@@ -73,10 +73,14 @@ def test_grid_rejects_empty_extent():
         ops.dirichlet_grid((1.0, 1.0), 8)
 
 @pytest.mark.parametrize("make_grid", [ops.dirichlet_grid, ops.periodic_grid])
-@pytest.mark.parametrize("extent", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize(
+    "extent",
+    [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308), (0.0, 5e-324)],
+)
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_grid_rejects_non_finite_extent(ndim, extent, make_grid):
-    # NaN passes a hi <= lo test; either would give NaN spacings
+    # NaN passes a hi <= lo test; either would give NaN spacings.  The
+    # last two are finite, but their width overflows or their cells underflow
     extents, npts = (extent, 8) if ndim == 1 else ([(0.0, 1.0), extent], (8, 8))
     with pytest.raises(DomainError, match="finite"):
         make_grid(extents, npts)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import types
 
 import imexbdf
 from imexbdf.operators import LinearOperator
@@ -14,6 +15,12 @@ def test_star_import_exports_every_listed_name_once():
     exec("from imexbdf import *", namespace)
     assert len(set(imexbdf.__all__)) == len(imexbdf.__all__)
     assert [name for name in imexbdf.__all__ if name not in namespace] == []
+
+
+def test_exports_hold_no_module_and_no_private_name():
+    values = {name: getattr(imexbdf, name) for name in imexbdf.__all__}
+    assert [name for name, value in values.items() if isinstance(value, types.ModuleType)] == []
+    assert [name for name in values if name.startswith("_")] == ["__version__"]
 
 
 def _subclasses(cls):
