@@ -12,7 +12,8 @@ Subcommands::
     imexbdf threshold   --k 3 [--ratios 1.0,2.0] [--nodes 48] [--steps 8000]
 
 Exit codes: 0 success, 2 configuration or usage error (an output
-path that cannot be written is one), 3 numerical failure (divergence,
+path that cannot be written, or whose last component is empty, is
+one), 3 numerical failure (divergence,
 failed solve, unusable report), 4 order check failed under
 ``--assert-order``.  ``solve`` writes the norms per recorded step to
 its CSV, the raw states to a ``_states.csv`` sidecar and a JSON
@@ -185,10 +186,7 @@ def _load(args, required, **overrides) -> tuple[RunConfig, BuiltProblem]:
                 f"time.{name} is required for {args.command} (config or --{name})"
             )
     try:
-        # a coefficient that is inf or NaN on the grid is reported as a
-        # config error below, not also as numpy's RuntimeWarning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return cfg, build_problem(cfg)
+        return cfg, build_problem(cfg)
     except CoercivityError as exc:  # the config's coefficients are at fault
         raise ConfigError(str(exc)) from None
 
@@ -202,9 +200,16 @@ def _norm_kinds(cfg: RunConfig):
     return kinds, [kind.label for kind in kinds]
 
 
+def _output_base(base: str) -> str:
+    """``base``, unless its last path component is empty: it would name
+    files by their extension alone (``.csv``, ``.json``)."""
+    if not os.path.basename(base):
+        raise ConfigError(f"output base {base!r} has an empty file name")
+    return base
+
+
 def _cmd_solve(args) -> int:
-    if not args.out:
-        raise ConfigError("--out must not be empty")
+    _output_base(args.out)
     cfg, built = _load(
         args, ("tau", "steps"), k=args.k, tau=args.tau, steps=args.steps, stride=args.stride
     )
@@ -295,6 +300,7 @@ def _write(base: str, table, payload: dict) -> str:
 
 def _cmd_consistency(args) -> int:
     cfg, built = _load(args, ("tau", "steps"), k=args.k, tau=args.tau, steps=args.steps)
+    base = _output_base(args.out or cfg.path)
     problem = built.require_manufactured()
     scheme = bdf_scheme(cfg.k)
     kinds, labels = _norm_kinds(cfg)
@@ -304,7 +310,7 @@ def _cmd_consistency(args) -> int:
         "norm": labels[0],
         **reports.consistency_payload(result),
     }
-    wrote = _write(args.out or cfg.path, reports.consistency_rows(result), payload)
+    wrote = _write(base, reports.consistency_rows(result), payload)
     print(f"k={cfg.k} tau={cfg.tau:g}: max defect norm {result.max_norm:.6e}; {wrote}")
     return 0
 
@@ -313,6 +319,7 @@ def _cmd_converge(args) -> int:
     cfg, built = _load(
         args, ("tau0",), k=args.k, tau0=args.tau0, levels=args.levels, norms=args.norms
     )
+    base = _output_base(args.out or cfg.path)
     problem = built.require_manufactured()
     scheme = bdf_scheme(cfg.k)
     kinds, labels = _norm_kinds(cfg)
@@ -324,7 +331,7 @@ def _cmd_converge(args) -> int:
         "final_time": final_time,
         **reports.convergence_payload(report),
     }
-    wrote = _write(args.out or cfg.path, reports.convergence_rows(report), payload)
+    wrote = _write(base, reports.convergence_rows(report), payload)
     for lab in labels:
         fit = report.fits.get(lab)
         slope = f"{fit.slope:.3f}" if fit else "n/a"
@@ -340,6 +347,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    base = _output_base(args.out or f"threshold_k{args.k}")
     scheme = bdf_scheme(args.k)
     ratios = None
     if args.ratios is not None:
@@ -360,7 +368,7 @@ def _cmd_threshold(args) -> int:
         "steps": args.steps,
         **reports.threshold_payload(report),
     }
-    wrote = _write(args.out or f"threshold_k{args.k}", reports.threshold_rows(report), payload)
+    wrote = _write(base, reports.threshold_rows(report), payload)
     lo, hi = report.bracket
     print(
         f"k={args.k} tan(alpha)={report.tan_alpha:.6f}: "

@@ -14,7 +14,9 @@ numpy arrays.
 function of t, bit-identical to ``field(*coords, t)``: each maximal
 t-free subtree other than a bare name or constant is evaluated once and
 held read-only, with no reassociation; a t-free field returns its one
-read-only array.
+read-only array.  Fields evaluate with numpy's floating-point warnings
+silenced: a field that is inf or NaN on the grid is reported by the
+guards of the code that reads it, not also as a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.UAdd, ast.USub)
+_QUIET = np.errstate(all="ignore")  # as a decorator, reentrant and per thread
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,7 @@ class FieldExpr:
     names_used: frozenset[str]
     _code: object
 
+    @_QUIET
     def __call__(self, *args):
         if len(args) != len(self.variables):
             raise ConfigError(
@@ -50,13 +54,14 @@ class FieldExpr:
         scope = {**dict(zip(self.variables, args)), **_CONSTANTS, **_FUNCTIONS, "__builtins__": {}}
         return eval(self._code, scope)  # noqa: S307 - tree was whitelisted
 
+    @_QUIET
     def at(self, *coords):
         """This field on fixed space coordinates, as a function of t."""
         space = [v for v in self.variables if v != "t"]
         scope = {**dict(zip(space, coords)), **_CONSTANTS, **_FUNCTIONS, "__builtins__": {}}
         bound = ast.parse("lambda t: t", mode="eval")
         bound.body.body = _hoist(ast.parse(self.text, mode="eval").body, scope, root=True)
-        return eval(compile(bound, "<field>", "eval"), scope)  # noqa: S307 - whitelisted
+        return _QUIET(eval(compile(bound, "<field>", "eval"), scope))  # noqa: S307 - whitelisted
 
     @property
     def time_dependent(self) -> bool:

@@ -19,6 +19,7 @@ trajectory block, with the solution.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -157,12 +158,16 @@ def _as_state(grid: Grid, v) -> np.ndarray:
     return arr
 
 
+def _probe_draws(shape: tuple[int, ...]):
+    """The 4 seeded random complex probes of the coercivity spot check, one at a time."""
+    rng = np.random.default_rng(12345)
+    for _ in range(4):
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @functools.lru_cache(maxsize=8)
 def _coercivity_probes(shape: tuple[int, ...]) -> np.ndarray:
-    rng = np.random.default_rng(12345)
-    probes = np.array(
-        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
-    )
+    probes = np.array(list(_probe_draws(shape)))
     probes.setflags(write=False)
     return probes
 
@@ -176,6 +181,27 @@ def _band_forms(n: int, periodic: bool) -> np.ndarray:
     corners = links[:, -1:] if periodic else links[:, :0]
     parts = [links[:, :-1], p.conj() * p, links[:, :-1].conj(), corners, corners.conj()]
     forms = np.concatenate(parts, axis=1)
+    forms.setflags(write=False)
+    return forms
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_forms(shape: tuple[int, int], periodic: bool) -> np.ndarray:
+    """Row i: what each of the 2-d entries of ``_build`` adds to Re<Av, v>
+    for probe v = p_i, so forms @ entries.real is Re<Av, v>.  An entry
+    adds Re(conj(p_r) p_c) for each slot (r, c) of the matrix it fills
+    (``_stencil_pattern``): |p_r|^2 as the node sum at r, 2 Re(conj(p_r) p_c)
+    as the link of nodes r and c, whose two slots' imaginary parts
+    cancel, and 0 as a Dirichlet boundary interface, which links no nodes."""
+    indptr, rows, _, gather = _stencil_pattern(shape, periodic)
+    cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    count = math.prod(shape) + sum(
+        math.prod(_iface_shape(shape, axis, periodic)) for axis in range(2)
+    )
+    forms = np.empty((4, count))
+    for row, p in zip(forms, _probe_draws(shape)):  # one probe at a time, kept real
+        re, im = p.real.ravel(), p.imag.ravel()
+        row[...] = np.bincount(gather, re[rows] * re[cols] + im[rows] * im[cols], count)
     forms.setflags(write=False)
     return forms
 
@@ -237,7 +263,9 @@ class SparseDiffusionOperator(LinearOperator):
     (t, sigma) when that takes more than ``_REFINE_MAX_STEPS``
     corrections, which the refinement stops as soon as the residual's
     observed contraction foretells.  A new A(t) must give Re<Av, v> > 0 for
-    4 seeded random v, in 1-d via their cached conj(v_i) v_j (``_band_forms``).
+    4 seeded random v.  In both dimensions the check reads the entries
+    ``_build`` made, one dot product each with forms in v cached per grid
+    (``_band_forms``, ``_stencil_forms``); in 2-d it costs no matrix product.
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
@@ -251,7 +279,8 @@ class SparseDiffusionOperator(LinearOperator):
             for xs in self._iface_coords
         ]
         if grid.ndim == 2:
-            self._indptr, self._indices, self._diag_slots, self._gather = _stencil_pattern(grid)
+            pattern = _stencil_pattern(grid.shape, grid.boundary == PERIODIC)
+            self._indptr, self._indices, self._diag_slots, self._gather = pattern
         self._lock = threading.Lock()
         self._stencil_cache = (None, None)
         # (key, factor) in one tuple, so a lock-free read never pairs
@@ -275,11 +304,12 @@ class SparseDiffusionOperator(LinearOperator):
     def _midpoint_coeffs(self, t: float, axis: int) -> np.ndarray:
         """Complex a + ib at the cell interfaces along one axis."""
         a, b = self._fields[axis]
-        c = np.empty(self._iface_coords[axis][0].shape, dtype=complex)
-        c.real, c.imag = a(t), b(t)  # scalars broadcast
+        re, im = np.asarray(a(t)), np.asarray(b(t))  # a scalar is a 0-d array
         # NaN fails every comparison, so the guard is written to fail on it
-        if not (0.0 < c.real.min() and c.real.max() < np.inf and np.isfinite(c.imag).all()):
+        if not (0.0 < re.min() and re.max() < np.inf and np.isfinite(im).all()):
             raise CoercivityError("diffusion coefficient a must be positive and a, b finite")
+        c = np.empty(self._iface_coords[axis][0].shape, dtype=complex)
+        c.real, c.imag = re, im  # scalars broadcast
         return c
 
     def assemble(self, t: float) -> sp.csc_matrix:
@@ -292,7 +322,8 @@ class SparseDiffusionOperator(LinearOperator):
         return sp.diags([sub, diag, sup, *corners[:, None]], offsets, format="csc")
 
     def _stencil(self, t: float):
-        """A(t) as ``_build`` makes it, spot-checked; the last one is cached."""
+        """A(t), spot-checked: the bands of ``_build`` on 1-d grids, in 2-d
+        the read-only CSC matrix of its gathered entries; the last one is cached."""
         key = self._time_key(t)
         with self._lock:
             cached_key, stencil = self._stencil_cache
@@ -300,12 +331,14 @@ class SparseDiffusionOperator(LinearOperator):
             return stencil
         stencil = self._build(t)
         # catches sign errors, not genuine indefiniteness in adversarial corners
+        periodic = self.grid.boundary == PERIODIC
         if self.grid.ndim == 1:
-            forms = _band_forms(self.grid.size, self.grid.boundary == PERIODIC)
-            values = (forms @ np.concatenate(stencil)).real
+            values = (_band_forms(self.grid.size, periodic) @ np.concatenate(stencil)).real
         else:
-            probes = _coercivity_probes(self.grid.shape).reshape(-1, self.grid.size)
-            values = np.vecdot(probes, (stencil @ np.ascontiguousarray(probes.T)).T).real
+            values = _stencil_forms(self.grid.shape, periodic) @ stencil.real
+            data = stencil[self._gather]
+            data.setflags(write=False)  # the cached matrix is shared
+            stencil = self._csc(data)
         if not np.all(values > 0.0):  # NaN fails too
             raise CoercivityError("diffusion operator: Re<Av,v> not positive for a random state")
         with self._lock:
@@ -313,18 +346,25 @@ class SparseDiffusionOperator(LinearOperator):
         return stencil
 
     def _build(self, t: float):
-        """A(t): the bands (``_bands``) on 1-d grids, the CSC matrix in 2-d."""
+        """A(t): the bands (``_bands``) on 1-d grids.  In 2-d its entries
+        before the gather (``_stencil_pattern``): the node sums
+        sum_i (c_i below + c_i above) / h_i^2, then -c_i / h_i^2 at every
+        interface of axis 0, then of axis 1."""
         if self.grid.ndim == 1:
             return _bands(self._midpoint_coeffs(t, 0), self.grid.h[0], self.grid.boundary)
-        diag, links = 0.0, []
-        for axis, (n, h) in enumerate(zip(self.grid.npts, self.grid.h)):
+        size = self.grid.size + sum(xs[0].size for xs in self._iface_coords)
+        entries = np.zeros(size, dtype=complex)
+        nodes = entries[: self.grid.size].reshape(self.grid.shape)
+        offset = self.grid.size
+        for axis, h in enumerate(self.grid.h):
             c = self._midpoint_coeffs(t, axis)
-            above = np.take(c, np.arange(1, n + 1) % c.shape[axis], axis)
-            diag = diag + (np.take(c, range(n), axis) + above) / h**2
-            links.append(-c.ravel() / h**2)
-        data = np.concatenate([diag.ravel(), *links])[self._gather]
-        data.setflags(write=False)  # the cached matrix is shared
-        return self._csc(data)
+            below, above = _node_sides(c, axis, self.grid.boundary == PERIODIC)
+            nodes += (below + above) / h**2  # onto +0.0, as in 0.0 + ...: no -0.0 part
+            links = entries[offset : offset + c.size].reshape(c.shape)
+            np.negative(c, out=links)
+            links /= h**2
+            offset += c.size
+        return entries
 
     def _csc(self, data: np.ndarray) -> sp.csc_matrix:
         size = self.grid.size
@@ -494,29 +534,47 @@ def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:
     return _mesh(*axes)
 
 
-def _stencil_pattern(grid: Grid):
-    """CSC pattern of -div(c grad .) on ``grid`` and its gather.
+def _iface_shape(shape: tuple[int, ...], axis: int, periodic: bool) -> tuple[int, ...]:
+    """Shape of the interfaces along ``axis`` (``_interface_coords``)."""
+    return shape if periodic else tuple(n + (i == axis) for i, n in enumerate(shape))
 
-    Returns (indptr, indices, diag_slots, gather): the matrix for
-    interface coefficients c_i along axis i (``_midpoint_coeffs``) has
-    data ``values[gather]`` in this pattern, where ``values`` holds the
-    node sums sum_i (c_i below + c_i above) / h_i^2 followed by
-    -c_i / h_i^2 at every interface of axis 0, then of axis 1 (all
-    raveled), and diag_slots are the data positions of the diagonal.
+
+def _along(axis: int, index) -> tuple:
+    """The index that takes ``index`` along ``axis`` and all of every other axis."""
+    return (slice(None),) * axis + (index,)
+
+
+def _node_sides(c: np.ndarray, axis: int, periodic: bool):
+    """The interfaces below and above each node along ``axis`` of ``c``,
+    laid out as ``_interface_coords``: interface j below node j, and
+    above it j + 1 (cyclically on a periodic grid)."""
+    if periodic:
+        return c, np.roll(c, -1, axis)
+    return c[_along(axis, slice(None, -1))], c[_along(axis, slice(1, None))]
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(shape: tuple[int, ...], periodic: bool):
+    """CSC pattern of -div(c grad .) on a grid of ``shape`` and its gather.
+
+    Returns (indptr, indices, diag_slots, gather): the matrix whose
+    entries (``_build``) are the node sums and then the links of axis 0
+    and of axis 1 has data ``entries[gather]`` in this pattern, and
+    diag_slots are the data positions of the diagonal; all read-only,
+    since operators on grids of one shape share them.
     """
-    node = np.arange(grid.size).reshape(grid.shape)
+    size = math.prod(shape)
+    node = np.arange(size).reshape(shape)
     rows, cols, values = [node.ravel()], [node.ravel()], [node.ravel()]
-    offset = grid.size
-    for axis, n in enumerate(grid.npts):
-        iface_shape = list(grid.shape)
-        if grid.boundary == DIRICHLET:
-            iface_shape[axis] += 1
-        iface = offset + np.arange(np.prod(iface_shape)).reshape(iface_shape)
+    offset = size
+    for axis in range(len(shape)):
+        iface_shape = _iface_shape(shape, axis, periodic)
+        iface = offset + np.arange(math.prod(iface_shape)).reshape(iface_shape)
         # each node couples to its successor through the interface above it
         src, dst = node, np.roll(node, -1, axis)
-        link = np.take(iface, np.arange(1, n + 1) % iface_shape[axis], axis)
-        if grid.boundary == DIRICHLET:
-            inner = tuple(slice(0, n - 1) if i == axis else slice(None) for i in range(grid.ndim))
+        link = _node_sides(iface, axis, periodic)[1]
+        if not periodic:
+            inner = _along(axis, slice(None, -1))
             src, dst, link = src[inner], dst[inner], link[inner]
         src, dst, link = src.ravel(), dst.ravel(), link.ravel()
         rows += [src, dst]
@@ -524,7 +582,6 @@ def _stencil_pattern(grid: Grid):
         values += [link, link]
         offset += iface.size
     # no two terms share a position, since every axis has at least 4 nodes
-    size = grid.size
     keys = np.concatenate(cols) * size + np.concatenate(rows)
     order = np.argsort(keys)
     key_cols, indices = np.divmod(keys[order], size)
@@ -532,7 +589,7 @@ def _stencil_pattern(grid: Grid):
     diag_slots = np.flatnonzero(indices == key_cols)
     gather = np.concatenate(values)[order]
     indptr, indices = indptr.astype(np.intc), indices.astype(np.intc)
-    for arr in (indptr, indices, gather):
+    for arr in (indptr, indices, diag_slots, gather):
         arr.setflags(write=False)
     return indptr, indices, diag_slots, gather
 
@@ -649,10 +706,12 @@ def _padded_coords(grid: Grid):
 
 def _centered_divergence(components, grid: Grid) -> np.ndarray:
     """Divergence of a padded (Dirichlet) or plain (periodic) field,
-    evaluated at the grid nodes by centered differences."""
+    evaluated at the grid nodes by centered differences; a component
+    that is None is identically zero and is skipped."""
     out = np.zeros(grid.shape, dtype=complex)
     for axis, comp in enumerate(components):
-        out += _centered_difference(comp, grid, axis)
+        if comp is not None:
+            out += _centered_difference(comp, grid, axis)
     return out
 
 
@@ -668,7 +727,7 @@ class NonlinearTerm(ABC):
 class DivergenceFormTerm(NonlinearTerm):
     """B(t, v) = div g(v, x, t), by centered differences of g sampled at
     the (boundary-extended) nodes.  In 2d g returns one component per
-    axis."""
+    axis, None for one that is identically zero."""
 
     def __init__(self, grid: Grid, g):
         self.grid = grid
@@ -756,7 +815,7 @@ def double_well_drift(v):
 
 
 def _exp_flux(v, x, t):
-    return np.exp(v) if v.ndim == 1 else (np.exp(v), np.zeros_like(v))
+    return np.exp(v) if v.ndim == 1 else (np.exp(v), None)  # None: the zero y-flux
 
 
 # The named explicit terms, each a factory grid -> NonlinearTerm.
@@ -797,7 +856,7 @@ def _example_term(grid: Grid, example: str) -> NonlinearTerm:
 def assemble_example1(grid: Grid, a, b, autonomous: bool | None = None):
     """Variable-coefficient diffusion with a pointwise sink and an
     exponential flux: A = -div((a+ib) grad .) and B(u) = -u^3 + div g(u)
-    with g(u) = e^u in 1d, (e^u, 0) in 2d (``cubic_sink +
+    with g(u) = e^u in 1d, (e^u, 0) in 2d, the 0 given as None (``cubic_sink +
     exp_flux_div``)."""
     op = SparseDiffusionOperator(grid, a, b, autonomous=autonomous)
     return op, _example_term(grid, "1")

@@ -558,6 +558,32 @@ def test_empty_output_base_exits_two(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "config_tail, argv",
+    [
+        ("", ["solve", "--out", "res/"]),
+        ("", ["consistency", "--out", "res/"]),
+        ("", ["converge", "--tau0", "0.1", "--levels", "3", "--out", "res/"]),
+        ("", ["threshold", "--k", "2", "--nodes", "8", "--steps", "10", "--out", "res/"]),
+        ("path = res/\n", ["consistency"]),  # the config's output path
+    ],
+    ids=["solve", "consistency", "converge", "threshold", "config-path"],
+)
+def test_output_base_without_file_name_exits_two(
+    capsys, tmp_path, monkeypatch, config_tail, argv
+):
+    # "res/" would name the hidden files res/.csv and res/.json
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MANUFACTURED + config_tail)  # MANUFACTURED ends in [output]
+    (tmp_path / "res").mkdir()
+    monkeypatch.chdir(tmp_path)
+    config = [] if argv[0] == "threshold" else ["--config", str(cfg)]
+    code, _, err = run_cli(capsys, *argv, *config)
+    assert code == 2 and err.startswith("config error: ") and "res/" in err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "res", cfg]
+    assert list((tmp_path / "res").iterdir()) == []
+
+
 def child_env():
     """The environment of a child that imports the same imexbdf as this
     process, installed or not."""
@@ -593,3 +619,25 @@ class TestEnvironment:
         err = capfd.readouterr().err
         assert code == 2 and "config error" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
+        "a, code, prefix",
+        [
+            ("1 + 1/abs(x - 0.5)", 2, "config error: "),
+            # finite at t = 0, infinite at the interface x = 0.5 at t = 0.01
+            ("1 + 1/abs(x - 0.5 + t - 0.01)", 3, "numerical failure: "),
+        ],
+        ids=["at-set-up", "during-the-march"],
+    )
+    def test_singular_coefficient_prints_only_the_cli_line(self, capfd, tmp_path, a, code, prefix):
+        cfg = tmp_path / "singular.ini"
+        cfg.write_text(
+            f"[problem]\nexample = 1\npoints = 8\na = {a}\n"
+            "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
+        )
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        env = {**child_env(), "PYTHONWARNINGS": "default"}
+        proc = subprocess.run([sys.executable, "-m", "imexbdf.cli", *argv], env=env)
+        lines = capfd.readouterr().err.splitlines()
+        assert proc.returncode == code
+        assert len(lines) == 1 and lines[0].startswith(prefix)

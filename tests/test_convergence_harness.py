@@ -112,19 +112,34 @@ def test_time_dependent_solve_builds_matrix_once_per_node():
     assert len(builds) == N
     assert assembled == []
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_example1_run_builds_and_checks_once_per_node(k, monkeypatch):
+@pytest.mark.parametrize(
+    "k, npts",
+    [pytest.param(k, 24, id=str(k)) for k in range(1, 5)]
+    + [pytest.param(k, (10, 8), id=f"2d-{k}") for k in range(1, 5)],
+)
+def test_example1_run_builds_and_checks_once_per_node(k, npts, monkeypatch):
     # a second build per step (a thrashing single-slot cache) would
     # show here; the constructor's build at t = 0 serves node 0
     builds, checks = [], []
-    build, forms = SparseDiffusionOperator._build, ops._band_forms
+    build = SparseDiffusionOperator._build
     monkeypatch.setattr(
         SparseDiffusionOperator, "_build", lambda op, t: builds.append(t) or build(op, t)
     )
-    monkeypatch.setattr(ops, "_band_forms", lambda *key: checks.append(key) or forms(*key))
-    grid = dirichlet_grid((0.0, 1.0), 24)
-    op, term = assemble_example1(grid, lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t), 0.3)
-    profile = np.sin(np.pi * grid.axis_nodes(0))
+    for name in ("_band_forms", "_stencil_forms"):  # the 1-d and the 2-d spot check
+        forms = getattr(ops, name)
+        monkeypatch.setattr(
+            ops, name, lambda *key, forms=forms: checks.append(key) or forms(*key)
+        )
+    if npts == 24:
+        grid = dirichlet_grid((0.0, 1.0), npts)
+        a = lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t)  # noqa: E731
+        profile = np.sin(np.pi * grid.axis_nodes(0))
+    else:
+        grid = dirichlet_grid(((0.0, 1.0), (0.0, 1.0)), npts)
+        a = lambda x, y, t: 1.0 + 0.5 * np.sin(x) * np.sin(y) * np.cos(t)  # noqa: E731
+        X, Y = grid.meshes()
+        profile = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    op, term = assemble_example1(grid, a, 0.3)
     prob = harness.ManufacturedProblem(
         grid, op, term, lambda t: math.exp(-t) * profile, lambda t: -math.exp(-t) * profile
     )

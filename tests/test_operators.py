@@ -593,7 +593,7 @@ def test_gathered_build_is_the_stencil_formula_bit_for_bit(make_grid, npts):
     b = lambda x, y, t: _coeff_2d(x, y, t)[1]  # noqa: E731
     op = ops.SparseDiffusionOperator(g, a, b)
     for t in (0.3, 1.7):
-        A = op._build(t)
+        A = op.assemble(t)
         ref = _stencil_formula_matrix(g, a, b, t)
         # every stencil entry is stored, and nothing else
         assert A.nnz == np.count_nonzero(ref)
@@ -679,6 +679,13 @@ def test_coercivity_probes_drawn_once_per_shape():
         assert forms.shape == (4, 3 * 7 - 2 + 2 * periodic)
         assert not forms.flags.writeable
         assert ops._band_forms(7, periodic) is forms
+        # 2-d: the node sums, then the 6 x 3 (periodic 5 x 3) interfaces
+        # of axis 0 and the 5 x 4 (5 x 3) of axis 1
+        forms = ops._stencil_forms((5, 3), periodic)
+        assert forms.shape == (4, 45 if periodic else 15 + 18 + 20)
+        assert forms.dtype == float
+        assert not forms.flags.writeable
+        assert ops._stencil_forms((5, 3), periodic) is forms
 
 @pytest.mark.parametrize(
     "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
@@ -705,6 +712,31 @@ def test_band_forms_match_band_product(make_grid):
     reference = np.vecdot(probes, ops._band_product(bands, probes)).real
     scale = np.abs(forms) @ np.abs(np.concatenate(bands))
     assert np.all(np.abs((forms @ np.concatenate(bands)).real - reference) <= 1e-13 * scale)
+
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_stencil_forms_match_matrix_product(make_grid):
+    # the 2-d spot check's Re<Av, v> against the probes multiplied out
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), (9, 7))
+    a = lambda x, y, t: _coeff_2d(x, y, t)[0]  # noqa: E731
+    b = lambda x, y, t: _coeff_2d(x, y, t)[1]  # noqa: E731
+    op = ops.SparseDiffusionOperator(g, a, b)
+    probes = ops._coercivity_probes(g.shape).reshape(4, -1)
+    forms = ops._stencil_forms(g.shape, make_grid is ops.periodic_grid)
+    for t in (0.3, 1.7):
+        entries = op._build(t)
+        reference = np.vecdot(probes, (op.assemble(t) @ probes.T).T).real
+        assert np.all(reference > 0.0)
+        np.testing.assert_allclose(forms @ entries.real, reference, rtol=1e-13, atol=0.0)
+    # unrelated node sums and links, of either sign
+    rng = np.random.default_rng(8)
+    entries = rng.standard_normal(entries.size) + 1j * rng.standard_normal(entries.size)
+    matrix = op._csc(entries[op._gather])
+    reference = np.vecdot(probes, (matrix @ probes.T).T).real
+    scale = np.abs(forms) @ np.abs(entries.real)
+    assert np.all(np.abs(forms @ entries.real - reference) <= 1e-13 * scale)
+
 
 @pytest.mark.parametrize("ratio", [0.0, 1.3, 14.5])
 @pytest.mark.parametrize("n", [4, 48])
@@ -1043,6 +1075,29 @@ def test_divergence_form_runs_no_gradient_code(monkeypatch):
     for g in (ops.dirichlet_grid((0.0, 1.0), 12), ops.periodic_grid((0.0, 1.0), 12)):
         term = ops.DivergenceFormTerm(g, g=lambda v, x_, t: v**2)
         assert np.all(np.isfinite(term.evaluate(0.0, np.linspace(0.1, 0.9, 12))))
+
+@pytest.mark.parametrize("zero_axis", [0, 1])
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_divergence_form_none_component_is_a_zero_flux(make_grid, zero_axis):
+    # None stands for an identically zero component, bit for bit
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), (9, 7))
+
+    def flux(zero):
+        def g_(v, x_, t):
+            comps = [np.exp(v) * np.cos(x_[0] + t)] * 2
+            comps[zero_axis] = zero(v)
+            return tuple(comps)
+
+        return ops.DivergenceFormTerm(g, g=g_)
+
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    skipped = flux(lambda v: None).evaluate(0.4, v)
+    zeros = flux(np.zeros_like).evaluate(0.4, v)
+    np.testing.assert_array_equal(skipped.view(np.uint64), zeros.view(np.uint64))
+
 
 def test_gradient_drag_default_oracle():
     # f(u, p) = -|p|^4 u with u = sin x: exact value -cos^4(x) sin(x)
