@@ -348,9 +348,11 @@ def _parse_nonlinearity(text: str) -> list[tuple[float, str]]:
         try:
             coeff = float(coeff_text)
         except ValueError:
+            coeff = math.nan  # reported below
+        if not math.isfinite(coeff):
             raise ConfigError(
                 f"bad coefficient {coeff_text.strip()!r} in nonlinearity {text!r}"
-            ) from None
+            )
         name = name.strip()
         if name == "none":
             raise ConfigError("'none' cannot appear inside a nonlinearity sum")
@@ -389,6 +391,7 @@ class BuiltProblem:
 def _state_evaluator(expr: FieldExpr, grid: Grid):
     field = expr.at(*grid.meshes())
 
+    @np.errstate(all="ignore")  # an inf or NaN state is reported by the guard that reads it
     def evaluate(t: float) -> np.ndarray:
         out = np.empty(grid.shape, dtype=complex)
         out[...] = field(t)  # scalars broadcast

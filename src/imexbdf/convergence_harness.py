@@ -51,7 +51,7 @@ class ManufacturedProblem:
         u = np.asarray(self.exact(t), dtype=complex)
         out = np.asarray(self.exact_dt(t), dtype=complex) + self.operator.apply(t, u)
         if self.nonlinear is not None:
-            out = out - self.nonlinear.evaluate(t, u)
+            out -= self.nonlinear.evaluate(t, u)
         return out
 
     @property

@@ -16,7 +16,8 @@ t-free subtree other than a bare name or constant is evaluated once and
 held read-only, with no reassociation; a t-free field returns its one
 read-only array.  Fields evaluate with numpy's floating-point warnings
 silenced: a field that is inf or NaN on the grid is reported by the
-guards of the code that reads it, not also as a ``RuntimeWarning``.
+guards of the code that reads it, not also as a ``RuntimeWarning``;
+the function ``at`` returns leaves that to its caller.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class FieldExpr:
         scope = {**dict(zip(space, coords)), **_CONSTANTS, **_FUNCTIONS, "__builtins__": {}}
         bound = ast.parse("lambda t: t", mode="eval")
         bound.body.body = _hoist(ast.parse(self.text, mode="eval").body, scope, root=True)
-        return _QUIET(eval(compile(bound, "<field>", "eval"), scope))  # noqa: S307 - whitelisted
+        return eval(compile(bound, "<field>", "eval"), scope)  # noqa: S307 - whitelisted
 
     @property
     def time_dependent(self) -> bool:

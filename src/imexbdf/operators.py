@@ -304,12 +304,12 @@ class SparseDiffusionOperator(LinearOperator):
     def _midpoint_coeffs(self, t: float, axis: int) -> np.ndarray:
         """Complex a + ib at the cell interfaces along one axis."""
         a, b = self._fields[axis]
-        re, im = np.asarray(a(t)), np.asarray(b(t))  # a scalar is a 0-d array
-        # NaN fails every comparison, so the guard is written to fail on it
-        if not (0.0 < re.min() and re.max() < np.inf and np.isfinite(im).all()):
-            raise CoercivityError("diffusion coefficient a must be positive and a, b finite")
+        re = np.asarray(a(t))  # a scalar is a 0-d array
         c = np.empty(self._iface_coords[axis][0].shape, dtype=complex)
-        c.real, c.imag = re, im  # scalars broadcast
+        c.real, c.imag = re, b(t)  # scalars broadcast
+        # NaN fails every comparison, so the guard is written to fail on it
+        if not (0.0 < re.min() and np.isfinite(c).all()):
+            raise CoercivityError("diffusion coefficient a must be positive and a, b finite")
         return c
 
     def assemble(self, t: float) -> sp.csc_matrix:
@@ -339,7 +339,7 @@ class SparseDiffusionOperator(LinearOperator):
             data = stencil[self._gather]
             data.setflags(write=False)  # the cached matrix is shared
             stencil = self._csc(data)
-        if not np.all(values > 0.0):  # NaN fails too
+        if not (values > 0.0).all():  # NaN fails too
             raise CoercivityError("diffusion operator: Re<Av,v> not positive for a random state")
         with self._lock:
             self._stencil_cache = (key, stencil)
@@ -350,14 +350,14 @@ class SparseDiffusionOperator(LinearOperator):
         before the gather (``_stencil_pattern``): the node sums
         sum_i (c_i below + c_i above) / h_i^2, then -c_i / h_i^2 at every
         interface of axis 0, then of axis 1."""
+        with np.errstate(all="ignore"):  # the guard reports an inf or NaN field, not numpy
+            coeffs = [self._midpoint_coeffs(t, axis) for axis in range(self.grid.ndim)]
         if self.grid.ndim == 1:
-            return _bands(self._midpoint_coeffs(t, 0), self.grid.h[0], self.grid.boundary)
-        size = self.grid.size + sum(xs[0].size for xs in self._iface_coords)
-        entries = np.zeros(size, dtype=complex)
+            return _bands(coeffs[0], self.grid.h[0], self.grid.boundary)
+        entries = np.zeros(self.grid.size + sum(c.size for c in coeffs), dtype=complex)
         nodes = entries[: self.grid.size].reshape(self.grid.shape)
         offset = self.grid.size
-        for axis, h in enumerate(self.grid.h):
-            c = self._midpoint_coeffs(t, axis)
+        for axis, (h, c) in enumerate(zip(self.grid.h, coeffs)):
             below, above = _node_sides(c, axis, self.grid.boundary == PERIODIC)
             nodes += (below + above) / h**2  # onto +0.0, as in 0.0 + ...: no -0.0 part
             links = entries[offset : offset + c.size].reshape(c.shape)
@@ -380,38 +380,45 @@ class SparseDiffusionOperator(LinearOperator):
         """Solve (sigma I + A(t)) u = r on the cached factor; only a 2-d
         refinement at a new time calls ``predict``, for its start."""
         rhs = _as_state(self.grid, r).ravel()
+        if self.grid.ndim == 1:
+            return self._band_factor(t, sigma).solve(rhs).reshape(self.grid.shape)
         key = (self._time_key(t), float(sigma))
         factor_key, factor = self._factor_cache
         if factor_key != key:
-            if self.grid.ndim == 1:
-                sub, diag, sup, corners = self._stencil(t)
-                factor = _TridiagonalLU(sub, diag + sigma, sup, corners)
-            else:
-                data = self.assemble(t).data.copy()
-                data[self._diag_slots] += sigma
-                matrix = self._csc(data)
-                if factor_key is not None and factor_key[1] == key[1]:
-                    start = None if predict is None else _as_state(self.grid, predict()).ravel()
-                    u = _refine(factor, matrix, rhs, start)
-                    if u is not None:
-                        return u.reshape(self.grid.shape)
-                factor = splu(matrix, permc_spec="MMD_AT_PLUS_A")
-            with self._lock:
-                self._factor_cache = (key, factor)
-                self._factor_count += 1
+            data = self.assemble(t).data.copy()
+            data[self._diag_slots] += sigma
+            matrix = self._csc(data)
+            if factor_key is not None and factor_key[1] == key[1]:
+                start = None if predict is None else _as_state(self.grid, predict()).ravel()
+                u = _refine(factor, matrix, rhs, start)
+                if u is not None:
+                    return u.reshape(self.grid.shape)
+            factor = self._cache_factor(key, splu(matrix, permc_spec="MMD_AT_PLUS_A"))
         return factor.solve(rhs).reshape(self.grid.shape)
 
+    def _cache_factor(self, key, factor):
+        with self._lock:
+            self._factor_cache = (key, factor)
+            self._factor_count += 1
+        return factor
+
+    def _band_factor(self, t: float, sigma: float) -> _TridiagonalLU:
+        """The 1-d factor of sigma I + A(t), cached, or new and then counted and cached."""
+        key = (self._time_key(t), float(sigma))
+        factor_key, factor = self._factor_cache
+        if factor_key == key:
+            return factor
+        sub, diag, sup, corners = self._stencil(t)
+        return self._cache_factor(key, _TridiagonalLU(sub, diag + sigma, sup, corners))
+
     def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
-        """On a 1-d grid, a solve on the cached factor overwrites ``row``
-        with no fresh array; a new factor, and every 2-d solve, goes
-        through ``shifted_solve``."""
-        key, factor = self._factor_cache
-        if isinstance(factor, _TridiagonalLU) and key == (self._time_key(t), sigma):
-            x = factor.solve(row, overwrite_b=True)
-            if x is not row:  # zgttrs copied a row that is not contiguous complex128
-                row[...] = x
-        else:
-            super()._solve_in_place(t, sigma, row, predict)
+        """On a 1-d grid zgttrs overwrites ``row`` with no fresh array, on a
+        cached or a new factor; every 2-d solve goes through ``shifted_solve``."""
+        if self.grid.ndim == 2:
+            return super()._solve_in_place(t, sigma, row, predict)
+        x = self._band_factor(t, sigma).solve(row, overwrite_b=True)
+        if x is not row:  # zgttrs copied a row that is not contiguous complex128
+            row[...] = x
 
 
 def _bands(c: np.ndarray, h: float, boundary: str) -> tuple[np.ndarray, ...]:
@@ -708,11 +715,10 @@ def _centered_divergence(components, grid: Grid) -> np.ndarray:
     """Divergence of a padded (Dirichlet) or plain (periodic) field,
     evaluated at the grid nodes by centered differences; a component
     that is None is identically zero and is skipped."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for axis, comp in enumerate(components):
-        if comp is not None:
-            out += _centered_difference(comp, grid, axis)
-    return out
+    diffs = [_centered_difference(comp, grid, axis)
+             for axis, comp in enumerate(components) if comp is not None]
+    out = functools.reduce(np.add, diffs) if diffs else np.zeros(grid.shape, dtype=complex)
+    return out.astype(complex, copy=False)
 
 
 class NonlinearTerm(ABC):
@@ -787,7 +793,8 @@ class LaplacianPointwiseTerm(NonlinearTerm):
 
 
 class ScaledSumTerm(NonlinearTerm):
-    """Linear combination sum_i c_i B_i(t, v) of terms on one grid."""
+    """Linear combination sum_i c_i B_i(t, v), c_i finite, of terms on one
+    grid; it never writes into a part's value, which may be v itself."""
 
     def __init__(self, parts: list[tuple[float, NonlinearTerm]]):
         if not parts:
@@ -795,12 +802,16 @@ class ScaledSumTerm(NonlinearTerm):
         if len({term.grid.shape for _, term in parts}) > 1:
             raise DomainError("terms in a combination must share the grid shape")
         self.parts = [(float(c), term) for c, term in parts]
+        if not all(math.isfinite(c) for c, _ in self.parts):
+            raise DomainError("coefficients of a combination must be finite")
         self.grid = parts[0][1].grid
 
     def evaluate(self, t: float, v) -> np.ndarray:
-        out = np.zeros(self.grid.shape, dtype=complex)
-        for c, term in self.parts:
-            out += c * term.evaluate(t, v)
+        (c, term), *rest = self.parts
+        out = np.empty(self.grid.shape, dtype=complex)  # a copy, so the sum writes no part
+        out[...] = term.evaluate(t, v) if c == 1.0 else c * term.evaluate(t, v)
+        for c, term in rest:
+            out += term.evaluate(t, v) if c == 1.0 else c * term.evaluate(t, v)
         return out
 
 
@@ -820,7 +831,7 @@ def _exp_flux(v, x, t):
 
 # The named explicit terms, each a factory grid -> NonlinearTerm.
 NONLINEARITY_REGISTRY = {
-    "cubic_sink": lambda grid: PointwiseTerm(grid, lambda u: -(u**3)),
+    "cubic_sink": lambda grid: PointwiseTerm(grid, lambda u: -(u * u * u)),
     "exp_flux_div": lambda grid: DivergenceFormTerm(grid, _exp_flux),
     "grad_quartic_drag": lambda grid: GradientFormTerm(grid, default_gradient_drag),
     "expm1": lambda grid: PointwiseTerm(grid, np.expm1),

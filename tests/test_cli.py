@@ -524,6 +524,21 @@ def test_missing_time_field_exits_two(capsys, tmp_path, command, name):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("nonlinearity", ["nan*cubic_sink", "inf*exp_flux_div"])
+def test_non_finite_nonlinearity_coefficient_exits_two(capsys, tmp_path, command, nonlinearity):
+    # not a march that diverges at step 2 (solve) or a fit short of usable pairs (converge)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MANUFACTURED.replace("[scheme]", f"nonlinearity = {nonlinearity}\n[scheme]"))
+    tau0 = ["--tau0", "0.1"] if command == "converge" else []
+    code, out, err = run_cli(
+        capsys, command, "--config", str(cfg), *tau0, "--out", str(tmp_path / "x")
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: bad coefficient")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -205,6 +205,13 @@ class TestNonlinearityRegistry:
         with pytest.raises(ConfigError, match="coefficient"):
             build_nonlinearity("two*cubic_sink", grid)
 
+    @pytest.mark.parametrize(
+        "text", ["nan*cubic_sink", "inf*exp_flux_div", "cubic_sink + -inf*exp_flux_div"]
+    )
+    def test_non_finite_coefficient_rejected(self, text):
+        with pytest.raises(ConfigError, match="coefficient"):
+            parse_config(f"[problem]\nexample = 1\nnonlinearity = {text}\n[scheme]\nk = 1\n")
+
     def test_registry_ids_all_build_on_periodic_grids(self):
         grid = periodic_grid((0.0, 2.0 * np.pi), 16)
         u = 0.1 * np.sin(grid.axis_nodes(0)).astype(complex)

@@ -296,23 +296,41 @@ def test_norm_blocks_do_not_change_output(name, tmp_path, monkeypatch):
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _numbers(data: bytes) -> list[float]:
+    return [float(x) for x in _NUMBER.findall(data)]
+
+
+def largest_change(old: bytes, new: bytes) -> tuple[float, float]:
+    """The largest absolute and relative change between the numbers of
+    ``old`` and ``new``, paired in the order they appear; inf for both
+    when their counts differ."""
+    before, after = _numbers(old), _numbers(new)
+    if len(before) != len(after):
+        return math.inf, math.inf
+    gaps = [(abs(b - a), abs(b - a) / abs(a) if a else math.inf)
+            for a, b in zip(before, after) if a != b]
+    return tuple(map(max, zip(*gaps))) if gaps else (0.0, 0.0)
+
+
 def deviation(old: bytes, new: bytes) -> str:
     """How ``new`` differs from ``old``: the largest absolute and relative
     change of their numbers, paired in the order they appear."""
     if old == new:
         return "unchanged"
-    before, after = ([float(x) for x in _NUMBER.findall(data)] for data in (old, new))
-    if len(before) != len(after):
-        return f"changed, {len(before)} numbers became {len(after)}"
-    gaps = [(abs(b - a), abs(b - a) / abs(a) if a else math.inf)
-            for a, b in zip(before, after) if a != b]
-    if not gaps:
+    before, after = len(_numbers(old)), len(_numbers(new))
+    if before != after:
+        return f"changed, {before} numbers became {after}"
+    gap = largest_change(old, new)
+    if gap == (0.0, 0.0):
         return "changed, numbers equal"
-    return "changed, max abs {:.2g}, max rel {:.2g}".format(*map(max, zip(*gaps)))
+    return "changed, max abs {:.2g}, max rel {:.2g}".format(*gap)
 
 
 def regenerate() -> None:
-    """Rewrite every fixture from the current code and report each change."""
+    """Rewrite every fixture from the current code, report each change,
+    and end with one line: how many files changed and the largest
+    absolute and relative deviation among them."""
+    changed, worst = 0, (0.0, 0.0)
     with pytest.MonkeyPatch.context() as mp:
         for name in CASES:
             with tempfile.TemporaryDirectory() as tmp:
@@ -323,7 +341,13 @@ def regenerate() -> None:
                 old = path.read_bytes() if path.exists() else None
                 status = "new" if old is None else deviation(old, data)
                 print(f"{name}/{fname}: {status}")
+                if old != data:
+                    changed += 1
+                    gap = (0.0, 0.0) if old is None else largest_change(old, data)
+                    worst = tuple(map(max, worst, gap))
                 path.write_bytes(data)
+    print("{} file(s) changed; largest deviation max abs {:.2g}, max rel {:.2g}".format(
+        changed, *worst))
 
 
 if __name__ == "__main__":

@@ -597,6 +597,32 @@ class PublicSolveOperator(SparseDiffusionOperator):
     _solve_in_place = LinearOperator._solve_in_place
 
 
+@pytest.mark.parametrize("make_grid", [dirichlet_grid, periodic_grid])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_time_dependent_1d_run_solves_new_factors_in_the_row(k, make_grid, monkeypatch):
+    # each step factors at its new time and solves in run's block, never
+    # through the public shifted_solve, to the bits of the path that does
+    g = make_grid((0.0, 1.0), 24)
+    x = g.axis_nodes(0)
+    a = lambda x, t: 1.0 + 0.3 * np.sin(x + 2.0 * t)
+    B = PointwiseTerm(g, lambda u: -(u * u * u))
+    start = [np.sin(np.pi * x) * math.exp(-0.1 * n) + 0.01j * x for n in range(k)]
+    tau, N = 0.02, k + 12
+    A = SparseDiffusionOperator(g, a, 0.4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run called the public shifted_solve")
+
+    monkeypatch.setattr(A, "shifted_solve", refuse)
+    traj = stepper.run(bdf_scheme(k), A, B, start, tau, N)
+    ref = stepper.run(bdf_scheme(k), PublicSolveOperator(g, a, 0.4), B, start, tau, N)
+    assert traj.bounded and A.factorization_count == N - k + 1
+    assert traj.states.tobytes() == ref.states.tobytes()
+    key, bands = A._stencil_cache
+    for band, fresh in zip(bands, A._build(key)):
+        assert band.tobytes() == fresh.tobytes()  # no solve wrote into a cached band
+
+
 # the time-dependent Dirichlet operator solves on a new factor each step;
 # the autonomous ones on one cached factor, in place in run's block
 HAND_STEPPED_CASES = [

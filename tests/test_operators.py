@@ -850,18 +850,21 @@ def test_in_place_solve_matches_shifted_solve_bitwise(name):
 def test_1d_cached_in_place_solve_skips_the_public_solve(make_grid, monkeypatch):
     A = ops.SparseDiffusionOperator(make_grid((0.0, 1.0), 16), 1.0, 0.4)
     row = np.ones(16, complex)
-    A._solve_in_place(0.0, 3.0, row)  # the factor, through shifted_solve
+    A._solve_in_place(0.0, 3.0, row)  # the factor
     expected = A.shifted_solve(0.0, 3.0, np.ones(16))
 
     def refuse(*args):
-        raise AssertionError("cache hit went through shifted_solve")
+        raise AssertionError("an in-place solve went through shifted_solve")
 
     monkeypatch.setattr(A, "shifted_solve", refuse)
     row[:] = 1.0
     A._solve_in_place(5.0, 3.0, row)  # autonomous: any time hits the cache
     assert row.tobytes() == expected.tobytes()
-    with pytest.raises(AssertionError, match="cache hit"):
-        A._solve_in_place(0.0, 4.0, row)  # a new shift misses
+    row[:] = 1.0
+    A._solve_in_place(0.0, 4.0, row)  # a new shift factors and solves in the row too
+    assert A.factorization_count == 2
+    fresh = ops.SparseDiffusionOperator(make_grid((0.0, 1.0), 16), 1.0, 0.4)
+    assert row.tobytes() == fresh.shifted_solve(0.0, 4.0, np.ones(16)).tobytes()
 
 
 def test_1d_cached_in_place_solve_of_an_object_row():
@@ -1153,6 +1156,79 @@ def test_scaled_sum_term_combines_linearly():
 def test_scaled_sum_rejects_empty():
     with pytest.raises(DomainError):
         ops.ScaledSumTerm([])
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+def test_scaled_sum_rejects_non_finite_coefficient(coeff):
+    g = ops.periodic_grid((0.0, 2.0 * np.pi), 16)
+    with pytest.raises(DomainError, match="finite"):
+        ops.ScaledSumTerm([(1.0, ops.PointwiseTerm(g, np.sin)), (coeff, ops.PointwiseTerm(g, abs))])
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [ops.dirichlet_grid((0.0, 1.0), 24), ops.periodic_grid((0.0, 2.0), 24),
+     ops.dirichlet_grid([(0.0, 1.0), (0.0, 2.0)], (9, 7))],
+    ids=["dirichlet-1d", "periodic-1d", "dirichlet-2d"],
+)
+def test_example1_explicit_side_is_its_two_parts_summed_bit_for_bit(grid):
+    _, B = ops.assemble_example1(grid, 1.0, 0.3)
+    sink = ops.NONLINEARITY_REGISTRY["cubic_sink"](grid)
+    flux = ops.NONLINEARITY_REGISTRY["exp_flux_div"](grid)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    v.flat[0] = -0.0  # a signed zero, where a sum started from +0.0 would differ
+    expected = sink.evaluate(0.3, v) + flux.evaluate(0.3, v)
+    np.testing.assert_array_equal(_bits(B.evaluate(0.3, v)), _bits(expected))
+
+
+def test_scaled_sum_over_identity_writes_no_part_value():
+    g = ops.periodic_grid((0.0, 2.0 * np.pi), 16)
+    values = []  # (value a part returned, its copy)
+
+    class Recorded(ops.NonlinearTerm):
+        def __init__(self, term):
+            self.term, self.grid = term, term.grid
+
+        def evaluate(self, t, v):
+            out = self.term.evaluate(t, v)
+            values.append((out, out.copy()))
+            return out
+
+    identity = Recorded(ops.PointwiseTerm(g, lambda u: u))
+    combo = ops.ScaledSumTerm(
+        [(1.0, identity), (1.0, identity), (-0.5, Recorded(ops.PointwiseTerm(g, np.expm1)))]
+    )
+    v = np.linspace(-0.5, 0.5, 16).astype(complex)
+    before = v.copy()
+    out = combo.evaluate(0.0, v)
+    np.testing.assert_array_equal(v, before)
+    assert values[0][0] is v and len(values) == 3
+    for value, copy in values:
+        np.testing.assert_array_equal(value, copy)
+    np.testing.assert_allclose(out, 2.0 * v - 0.5 * np.expm1(v), rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "grid, axis",
+    [(ops.dirichlet_grid((0.0, 1.0), 12), 0), (ops.periodic_grid((0.0, 1.0), 12), 0),
+     (ops.dirichlet_grid([(0.0, 1.0), (0.0, 2.0)], (8, 6)), 0),
+     (ops.periodic_grid([(0.0, 1.0), (0.0, 2.0)], (8, 6)), 1)],
+    ids=["dirichlet-1d", "periodic-1d", "dirichlet-2d-x", "periodic-2d-y"],
+)
+def test_one_component_divergence_is_its_difference_bit_for_bit(grid, axis):
+    rng = np.random.default_rng(5)
+    shape = ops._pad(np.zeros(grid.shape), grid).shape
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w[..., 0] = -0.0  # differences of signed zeros may be -0.0
+    comps = [None] * grid.ndim
+    comps[axis] = w
+    div = ops._centered_divergence(comps, grid)
+    np.testing.assert_array_equal(_bits(div), _bits(ops._centered_difference(w, grid, axis)))
 
 
 # ------------------------------------------------------ hermitian parts
