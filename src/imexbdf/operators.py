@@ -2,8 +2,8 @@
 
 Two operator backends feed the time stepper through one interface:
 sparse finite differences for -div((a + ib) grad u) in conservative form
-on Dirichlet or periodic grids (the 1-d stencil held as its bands and
-factored by LAPACK's banded LU, the 2-d one a CSC matrix factored by
+on Dirichlet or periodic grids (one entries layout on every grid, its
+1-d bands factored by LAPACK's banded LU and its 2-d CSC matrix by
 SuperLU), and one spectral-diagonal operator, solved exactly in the
 basis that diagonalizes it.  Nonlinear terms B(t, v) are evaluated on
 grid states, one job per class: pointwise maps, div g(v), f(v, grad v),
@@ -173,21 +173,8 @@ def _coercivity_probes(shape: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _band_forms(n: int, periodic: bool) -> np.ndarray:
-    """Row i: what each entry of ``np.concatenate(_bands(...))`` adds to
-    <Av, v> for probe v = p_i, so Re(forms @ bands) is Re<Av, v>."""
-    p = _coercivity_probes((n,))
-    links = np.roll(p, -1, axis=1).conj() * p  # conj(p_{j+1}) p_j, cyclically
-    corners = links[:, -1:] if periodic else links[:, :0]
-    parts = [links[:, :-1], p.conj() * p, links[:, :-1].conj(), corners, corners.conj()]
-    forms = np.concatenate(parts, axis=1)
-    forms.setflags(write=False)
-    return forms
-
-
-@functools.lru_cache(maxsize=8)
-def _stencil_forms(shape: tuple[int, int], periodic: bool) -> np.ndarray:
-    """Row i: what each of the 2-d entries of ``_build`` adds to Re<Av, v>
+def _stencil_forms(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
+    """Row i: what each of the entries of ``_build`` adds to Re<Av, v>
     for probe v = p_i, so forms @ entries.real is Re<Av, v>.  An entry
     adds Re(conj(p_r) p_c) for each slot (r, c) of the matrix it fills
     (``_stencil_pattern``): |p_r|^2 as the node sum at r, 2 Re(conj(p_r) p_c)
@@ -196,7 +183,7 @@ def _stencil_forms(shape: tuple[int, int], periodic: bool) -> np.ndarray:
     indptr, rows, _, gather = _stencil_pattern(shape, periodic)
     cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     count = math.prod(shape) + sum(
-        math.prod(_iface_shape(shape, axis, periodic)) for axis in range(2)
+        math.prod(_iface_shape(shape, axis, periodic)) for axis in range(len(shape))
     )
     forms = np.empty((4, count))
     for row, p in zip(forms, _probe_draws(shape)):  # one probe at a time, kept real
@@ -238,34 +225,29 @@ class SparseDiffusionOperator(LinearOperator):
     """-div((a + ib) grad u) by conservative second-order differences.
 
     Coefficients are sampled at cell midpoints, which keeps the b == 0
-    Dirichlet matrix real symmetric positive definite.  On 1-d grids
-    A(t) is its three bands (and the periodic corners) formed straight
-    from the interface coefficients (``_bands``); ``assemble`` makes a
-    CSC matrix of them only when called.  In 2-d the CSC pattern and
-    one gather index are built once (``_stencil_pattern``): the matrix
-    at time t takes its data from the node sums (c_lo + c_hi) / h_i^2
-    over both axes and the links -c_i / h_i^2, sliced from the
-    interface coefficients c_i(t) along axis i as in 1-d; the data is
-    read-only, since ``assemble`` hands out the cached matrix.  Shifted solves go
-    through a cached direct factorization: on 1-d grids a partially
-    pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK zgttrf/zgttrs)
-    of the bands, with the two periodic corners added by
-    Sherman-Morrison; in 2-d a sparse LU (SuperLU) with a symmetric
-    fill-reducing ordering (the stencils have a symmetric pattern).
-    The factor is reused across steps when the operator is autonomous
-    and the step size is fixed, and rebuilt when sigma changes.  A new time alone rebuilds it on
-    1-d grids; in 2-d, A(t) - A(t_old) = O(t - t_old) makes the factor
-    at t_old a near-exact preconditioner, so the solve refines on it
-    (``_refine``) to the backward error of a fresh factor, starting
-    from the caller's prediction of u when ``predict`` is given (the
-    stepper passes the extrapolation through its five newest states),
-    and refactorizes at
-    (t, sigma) when that takes more than ``_REFINE_MAX_STEPS``
-    corrections, which the refinement stops as soon as the residual's
-    observed contraction foretells.  A new A(t) must give Re<Av, v> > 0 for
-    4 seeded random v.  In both dimensions the check reads the entries
-    ``_build`` made, one dot product each with forms in v cached per grid
-    (``_band_forms``, ``_stencil_forms``); in 2-d it costs no matrix product.
+    Dirichlet matrix real symmetric positive definite.  On every grid A(t)
+    is one entries vector (``_build``): the node sums sum_i (c_i below +
+    c_i above) / h_i^2, then the links -c_i / h_i^2 at the interfaces of
+    each axis i in turn, from the interface coefficients c_i(t).  One CSC
+    pattern and gather index per grid shape place them in the matrix
+    (``_stencil_pattern``).  A new A(t) must give Re<Av, v> > 0 for 4
+    seeded random v: one dot product of the entries each, with forms in v
+    cached per grid (``_stencil_forms``).  In 1-d the three bands and the
+    periodic corners are views of the entries, sliced once per time level;
+    a partially pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK
+    zgttrf/zgttrs) factors them, the corners added by Sherman-Morrison.
+    In 2-d the matrix is cached read-only, since ``assemble`` hands it
+    out, and a sparse LU (SuperLU) with a symmetric fill-reducing ordering
+    factors it.  The factor is reused across steps when the operator is
+    autonomous and the step size is fixed, and rebuilt when sigma changes.
+    A new time alone rebuilds it on 1-d grids; in 2-d, A(t) - A(t_old) =
+    O(t - t_old) makes the factor at t_old a near-exact preconditioner, so
+    the solve refines on it (``_refine``) to the backward error of a fresh
+    factor, starting from the caller's prediction of u when ``predict`` is
+    given (the stepper passes the extrapolation through its five newest
+    states), and refactorizes at (t, sigma) when that takes more than
+    ``_REFINE_MAX_STEPS`` corrections, which the refinement stops as soon
+    as the residual's observed contraction foretells.
     """
 
     def __init__(self, grid: Grid, a, b, autonomous: bool | None = None):
@@ -278,9 +260,8 @@ class SparseDiffusionOperator(LinearOperator):
             [f.at(*xs) if isinstance(f, FieldExpr) else functools.partial(f, *xs) for f in (a, b)]
             for xs in self._iface_coords
         ]
-        if grid.ndim == 2:
-            pattern = _stencil_pattern(grid.shape, grid.boundary == PERIODIC)
-            self._indptr, self._indices, self._diag_slots, self._gather = pattern
+        pattern = _stencil_pattern(grid.shape, grid.boundary == PERIODIC)
+        self._indptr, self._indices, self._diag_slots, self._gather = pattern
         self._lock = threading.Lock()
         self._stencil_cache = (None, None)
         # (key, factor) in one tuple, so a lock-free read never pairs
@@ -313,47 +294,45 @@ class SparseDiffusionOperator(LinearOperator):
         return c
 
     def assemble(self, t: float) -> sp.csc_matrix:
-        """The matrix of A(t); on 1-d grids made from the bands on each call."""
+        """The matrix of A(t): in 2-d the cached one, in 1-d gathered on each call."""
         stencil = self._stencil(t)
         if self.grid.ndim == 2:
             return stencil
-        sub, diag, sup, corners = stencil
-        offsets = [-1, 0, 1, diag.size - 1, 1 - diag.size][: 3 + corners.size]
-        return sp.diags([sub, diag, sup, *corners[:, None]], offsets, format="csc")
+        return self._csc(stencil[0][self._gather])
 
     def _stencil(self, t: float):
-        """A(t), spot-checked: the bands of ``_build`` on 1-d grids, in 2-d
-        the read-only CSC matrix of its gathered entries; the last one is cached."""
+        """A(t), spot-checked: in 1-d the entries of ``_build`` and their
+        bands (sub, diag, sup, corners), in 2-d the read-only CSC matrix
+        of the gathered entries; the last one is cached."""
         key = self._time_key(t)
         with self._lock:
             cached_key, stencil = self._stencil_cache
         if cached_key == key:
             return stencil
-        stencil = self._build(t)
-        # catches sign errors, not genuine indefiniteness in adversarial corners
+        entries = self._build(t)
         periodic = self.grid.boundary == PERIODIC
-        if self.grid.ndim == 1:
-            values = (_band_forms(self.grid.size, periodic) @ np.concatenate(stencil)).real
-        else:
-            values = _stencil_forms(self.grid.shape, periodic) @ stencil.real
-            data = stencil[self._gather]
-            data.setflags(write=False)  # the cached matrix is shared
-            stencil = self._csc(data)
+        # catches sign errors, not genuine indefiniteness in adversarial corners
+        values = _stencil_forms(self.grid.shape, periodic) @ entries.real
         if not (values > 0.0).all():  # NaN fails too
             raise CoercivityError("diffusion operator: Re<Av,v> not positive for a random state")
+        if self.grid.ndim == 1:  # interface 0 is the periodic corner, or a Dirichlet boundary
+            diag, links = entries[: self.grid.size], entries[self.grid.size :]
+            off, corners = (links[1:], links[[0, 0]]) if periodic else (links[1:-1], links[:0])
+            stencil = entries, (off, diag, off, corners)
+        else:
+            data = entries[self._gather]
+            data.setflags(write=False)  # the cached matrix is shared
+            stencil = self._csc(data)
         with self._lock:
             self._stencil_cache = (key, stencil)
         return stencil
 
-    def _build(self, t: float):
-        """A(t): the bands (``_bands``) on 1-d grids.  In 2-d its entries
-        before the gather (``_stencil_pattern``): the node sums
-        sum_i (c_i below + c_i above) / h_i^2, then -c_i / h_i^2 at every
-        interface of axis 0, then of axis 1."""
+    def _build(self, t: float) -> np.ndarray:
+        """A(t) as its entries before the gather (``_stencil_pattern``): the
+        node sums sum_i (c_i below + c_i above) / h_i^2, then -c_i / h_i^2
+        at the interfaces of each axis i in turn."""
         with np.errstate(all="ignore"):  # the guard reports an inf or NaN field, not numpy
             coeffs = [self._midpoint_coeffs(t, axis) for axis in range(self.grid.ndim)]
-        if self.grid.ndim == 1:
-            return _bands(coeffs[0], self.grid.h[0], self.grid.boundary)
         entries = np.zeros(self.grid.size + sum(c.size for c in coeffs), dtype=complex)
         nodes = entries[: self.grid.size].reshape(self.grid.shape)
         offset = self.grid.size
@@ -373,7 +352,7 @@ class SparseDiffusionOperator(LinearOperator):
     def apply(self, t: float, v) -> np.ndarray:
         state = _as_state(self.grid, v)
         if self.grid.ndim == 1:
-            return _band_product(self._stencil(t), state)
+            return _band_product(self._stencil(t)[1], state)
         return (self.assemble(t) @ state.ravel()).reshape(self.grid.shape)
 
     def shifted_solve(self, t: float, sigma: float, r, predict=None) -> np.ndarray:
@@ -408,7 +387,7 @@ class SparseDiffusionOperator(LinearOperator):
         factor_key, factor = self._factor_cache
         if factor_key == key:
             return factor
-        sub, diag, sup, corners = self._stencil(t)
+        sub, diag, sup, corners = self._stencil(t)[1]
         return self._cache_factor(key, _TridiagonalLU(sub, diag + sigma, sup, corners))
 
     def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
@@ -421,18 +400,8 @@ class SparseDiffusionOperator(LinearOperator):
             row[...] = x
 
 
-def _bands(c: np.ndarray, h: float, boundary: str) -> tuple[np.ndarray, ...]:
-    """Sub-, main and super-diagonal of the 1-d stencil for interface
-    coefficients c (``_midpoint_coeffs``) and the periodic corners
-    M[0, n-1], M[n-1, 0] (none on a Dirichlet grid)."""
-    link = -c / h**2
-    if boundary == DIRICHLET:
-        return link[1:-1], (c[:-1] + c[1:]) / h**2, link[1:-1], link[:0]
-    return link[1:], (c + np.roll(c, -1)) / h**2, link[1:], link[[0, 0]]
-
-
 def _band_product(bands, v: np.ndarray) -> np.ndarray:
-    """The banded matrix of ``_bands`` applied along the last axis of v."""
+    """The 1-d bands of ``SparseDiffusionOperator._stencil`` applied along the last axis of v."""
     sub, diag, sup, corners = bands
     out = diag * v
     out[..., 1:] += sub * v[..., :-1]
@@ -631,7 +600,6 @@ class SpectralDiagonalOperator(LinearOperator):
         # Re<Av,v> = sum_k symbol_k |v^_k|^2 / N >= 0; the guard is written to fail on NaN
         if not (0.0 <= self.symbol.min() and self.symbol.max() < np.inf):
             raise CoercivityError("spectral symbol must be finite and nonnegative")
-        self._solve_in_place = self._fourier_solve_in_place  # a nodal row needs the transforms
 
     def _denominator(self, sigma):
         """sigma + symbol, cached for the last sigma once it passes the check."""
@@ -654,18 +622,18 @@ class SpectralDiagonalOperator(LinearOperator):
         return np.fft.ifftn(np.fft.fftn(_as_state(self.grid, r)) / self._denominator(sigma))
 
     def _solve_in_place(self, t: float, sigma: float, row: np.ndarray, predict=None) -> None:
-        key, denom = self._denom_cache
-        if key != sigma:
-            denom = self._denominator(sigma)
-        np.divide(row, denom, out=row)
-
-    def _fourier_solve_in_place(self, t, sigma, row, predict=None) -> None:
-        if row.dtype != complex:  # fftn transforms only complex128 rows in place
-            return super()._solve_in_place(t, sigma, row, predict)
-        denom, state = self._denominator(sigma), row.reshape(self.grid.shape)
-        np.fft.fftn(state, out=state)
-        np.divide(state, denom, out=state)
-        np.fft.ifftn(state, out=state)
+        if self.grid is None:  # the coefficient basis: no transforms
+            key, denom = self._denom_cache
+            if key != sigma:
+                denom = self._denominator(sigma)
+            np.divide(row, denom, out=row)
+        elif row.dtype != complex:  # fftn transforms only complex128 rows in place
+            super()._solve_in_place(t, sigma, row, predict)
+        else:
+            denom, state = self._denominator(sigma), row.reshape(self.grid.shape)
+            np.fft.fftn(state, out=state)
+            np.divide(state, denom, out=state)
+            np.fft.ifftn(state, out=state)
 
 
 def _pad(v: np.ndarray, grid: Grid) -> np.ndarray:

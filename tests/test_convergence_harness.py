@@ -88,7 +88,7 @@ def test_solve_reaches_final_time():
 def test_time_dependent_solve_builds_matrix_once_per_node():
     # the explicit-mode forcing applies A(t_n) right after the solve at
     # t_n has built it, so the single-slot cache hits; on this 1-d grid
-    # ``_build`` forms the bands and no CSC matrix is made
+    # ``_build`` forms the entries and no CSC matrix is made
     grid = dirichlet_grid((0.0, 1.0), 32)
     a_fn = lambda x, t: 1.0 + 0.3 * np.sin(x) * np.cos(t)
     op = SparseDiffusionOperator(grid, a_fn, 0.2)
@@ -125,11 +125,8 @@ def test_example1_run_builds_and_checks_once_per_node(k, npts, monkeypatch):
     monkeypatch.setattr(
         SparseDiffusionOperator, "_build", lambda op, t: builds.append(t) or build(op, t)
     )
-    for name in ("_band_forms", "_stencil_forms"):  # the 1-d and the 2-d spot check
-        forms = getattr(ops, name)
-        monkeypatch.setattr(
-            ops, name, lambda *key, forms=forms: checks.append(key) or forms(*key)
-        )
+    forms = ops._stencil_forms  # the spot check in 1-d and 2-d
+    monkeypatch.setattr(ops, "_stencil_forms", lambda *key: checks.append(key) or forms(*key))
     if npts == 24:
         grid = dirichlet_grid((0.0, 1.0), npts)
         a = lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t)  # noqa: E731

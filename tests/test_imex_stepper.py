@@ -618,9 +618,9 @@ def test_time_dependent_1d_run_solves_new_factors_in_the_row(k, make_grid, monke
     ref = stepper.run(bdf_scheme(k), PublicSolveOperator(g, a, 0.4), B, start, tau, N)
     assert traj.bounded and A.factorization_count == N - k + 1
     assert traj.states.tobytes() == ref.states.tobytes()
-    key, bands = A._stencil_cache
-    for band, fresh in zip(bands, A._build(key)):
-        assert band.tobytes() == fresh.tobytes()  # no solve wrote into a cached band
+    key, (entries, _) = A._stencil_cache
+    # no solve wrote into the cached entries, whose views are the bands
+    assert entries.tobytes() == A._build(key).tobytes()
 
 
 # the time-dependent Dirichlet operator solves on a new factor each step;

@@ -12,9 +12,11 @@ Analytic oracles used below:
   through a symbolic reference computed with sympy in-test.
 """
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -647,6 +649,33 @@ def test_1d_band_path_matches_assembled_matrix(make_grid):
         )
         np.testing.assert_array_equal(op.shifted_solve(t, sigma, v), lu.solve(v))
 
+@pytest.mark.parametrize("b_zero", [True, False], ids=["b0", "b"])
+@pytest.mark.parametrize(
+    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+)
+def test_1d_stencil_is_the_band_formula_bit_for_bit(make_grid, b_zero):
+    # the entries are the node sums (c_below + c_above) / h^2 and the links
+    # -c / h^2; the bands and the matrix are those of the banded formula
+    g = make_grid((0.0, 1.0), 12)
+    periodic = make_grid is ops.periodic_grid
+    b = 0.0 if b_zero else lambda x, t: _coeff_1d(x, t)[1]
+    op = ops.SparseDiffusionOperator(g, lambda x, t: _coeff_1d(x, t)[0], b)
+    h, n = g.h[0], g.size
+    for t in (0.3, 1.7):
+        c = op._midpoint_coeffs(t, 0)
+        link = -c / h**2
+        diag = (c[:n] + (np.roll(c, -1) if periodic else c[1:])) / h**2
+        expected = np.concatenate([diag, link])
+        np.testing.assert_array_equal(op._build(t).view(np.uint64), expected.view(np.uint64))
+        off, corners = (link[1:], link[[0, 0]]) if periodic else (link[1:-1], link[:0])
+        for band, formula in zip(op._stencil(t)[1], (off, diag, off, corners), strict=True):
+            assert band.tobytes() == formula.tobytes()
+        offsets = [-1, 0, 1, n - 1, 1 - n][: 3 + corners.size]
+        ref = sp.diags([off, diag, off, *corners[:, None]], offsets, format="csc")
+        bits = [np.ascontiguousarray(M.toarray()).view(np.uint64) for M in (op.assemble(t), ref)]
+        np.testing.assert_array_equal(*bits)
+
+
 @pytest.mark.parametrize("call", ["apply", "shifted_solve"])
 @pytest.mark.parametrize(
     "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
@@ -657,7 +686,7 @@ def test_1d_band_sign_error_raises_coercivity_error(make_grid, call):
     op = ops.SparseDiffusionOperator(g, lambda x, t: 1.0 + 0.5 * np.sin(x + t), 0.2)
     op.apply(0.5, np.ones(12))
     build = op._build
-    op._build = lambda t: tuple(-band for band in build(t))
+    op._build = lambda t: -build(t)
     with pytest.raises(CoercivityError):
         if call == "apply":
             op.apply(0.7, np.ones(12))
@@ -675,10 +704,11 @@ def test_coercivity_probes_drawn_once_per_shape():
         assert not v.flags.writeable
     assert ops._coercivity_probes((5, 3)) is probes
     for periodic in (False, True):
-        forms = ops._band_forms(7, periodic)
-        assert forms.shape == (4, 3 * 7 - 2 + 2 * periodic)
+        # 1-d: the 7 node sums, then the 8 (periodic 7) interfaces
+        forms = ops._stencil_forms((7,), periodic)
+        assert forms.shape == (4, 14 if periodic else 15)
         assert not forms.flags.writeable
-        assert ops._band_forms(7, periodic) is forms
+        assert ops._stencil_forms((7,), periodic) is forms
         # 2-d: the node sums, then the 6 x 3 (periodic 5 x 3) interfaces
         # of axis 0 and the 5 x 4 (5 x 3) of axis 1
         forms = ops._stencil_forms((5, 3), periodic)
@@ -688,45 +718,34 @@ def test_coercivity_probes_drawn_once_per_shape():
         assert ops._stencil_forms((5, 3), periodic) is forms
 
 @pytest.mark.parametrize(
-    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
+    "dim, make_grid",
+    [
+        pytest.param(2, ops.dirichlet_grid, id="dirichlet"),
+        pytest.param(2, ops.periodic_grid, id="periodic"),
+        pytest.param(1, ops.dirichlet_grid, id="1d-dirichlet"),
+        pytest.param(1, ops.periodic_grid, id="1d-periodic"),
+    ],
 )
-def test_band_forms_match_band_product(make_grid):
+def test_stencil_forms_match_matrix_product(dim, make_grid):
     # the spot check's Re<Av, v> against the probes multiplied out
-    n = 40
-    g = make_grid((0.0, 1.0), n)
-    op = ops.SparseDiffusionOperator(
-        g, lambda x, t: _coeff_1d(x, t)[0], lambda x, t: _coeff_1d(x, t)[1]
-    )
-    probes = ops._coercivity_probes((n,))
-    forms = ops._band_forms(n, make_grid is ops.periodic_grid)
-    for t in (0.3, 1.7):
-        bands = op._stencil(t)
-        reference = np.vecdot(probes, ops._band_product(bands, probes)).real
-        assert np.all(reference > 0.0)
-        np.testing.assert_allclose(
-            (forms @ np.concatenate(bands)).real, reference, rtol=1e-13, atol=0.0
-        )
-    # unrelated sub- and super-diagonals, corners and signs
-    rng = np.random.default_rng(8)
-    bands = [rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size) for band in bands]
-    reference = np.vecdot(probes, ops._band_product(bands, probes)).real
-    scale = np.abs(forms) @ np.abs(np.concatenate(bands))
-    assert np.all(np.abs((forms @ np.concatenate(bands)).real - reference) <= 1e-13 * scale)
-
-@pytest.mark.parametrize(
-    "make_grid", [ops.dirichlet_grid, ops.periodic_grid], ids=["dirichlet", "periodic"]
-)
-def test_stencil_forms_match_matrix_product(make_grid):
-    # the 2-d spot check's Re<Av, v> against the probes multiplied out
-    g = make_grid(((0.0, 1.0), (0.0, 2.0)), (9, 7))
-    a = lambda x, y, t: _coeff_2d(x, y, t)[0]  # noqa: E731
-    b = lambda x, y, t: _coeff_2d(x, y, t)[1]  # noqa: E731
+    if dim == 1:
+        g = make_grid((0.0, 1.0), 40)
+        a = lambda x, t: _coeff_1d(x, t)[0]  # noqa: E731
+        b = lambda x, t: _coeff_1d(x, t)[1]  # noqa: E731
+    else:
+        g = make_grid(((0.0, 1.0), (0.0, 2.0)), (9, 7))
+        a = lambda x, y, t: _coeff_2d(x, y, t)[0]  # noqa: E731
+        b = lambda x, y, t: _coeff_2d(x, y, t)[1]  # noqa: E731
     op = ops.SparseDiffusionOperator(g, a, b)
     probes = ops._coercivity_probes(g.shape).reshape(4, -1)
     forms = ops._stencil_forms(g.shape, make_grid is ops.periodic_grid)
     for t in (0.3, 1.7):
         entries = op._build(t)
         reference = np.vecdot(probes, (op.assemble(t) @ probes.T).T).real
+        if dim == 1:  # the bands the 1-d apply multiplies give the same
+            bands = op._stencil(t)[1]
+            banded = np.vecdot(probes, ops._band_product(bands, probes)).real
+            np.testing.assert_allclose(banded, reference, rtol=1e-13, atol=0.0)
         assert np.all(reference > 0.0)
         np.testing.assert_allclose(forms @ entries.real, reference, rtol=1e-13, atol=0.0)
     # unrelated node sums and links, of either sign
@@ -1019,6 +1038,32 @@ def test_spectral_in_place_solve_of_an_object_row():
     op._solve_in_place(0.0, 3.0, row)
     assert row.dtype == object
     np.testing.assert_array_equal(row.astype(complex), op.shifted_solve(0.0, 3.0, r))
+
+
+def test_operators_are_freed_without_the_cycle_collector():
+    # no operator holds a bound method of itself, so its last reference
+    # frees it; each in-place solve gives the bits of shifted_solve
+    periodic = ops.periodic_grid((0.0, 2.0 * np.pi), 16)
+    makers = [
+        lambda: ops.assemble_example3(periodic)[0],
+        lambda: ops.SpectralDiagonalOperator(None, np.arange(16.0) + 1j),
+        lambda: ops.SparseDiffusionOperator(ops.dirichlet_grid((0.0, 1.0), 16), 1.0, 0.2),
+    ]
+    r = np.linspace(1.0, 2.0, 16) + 0.5j
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in makers:
+            op = make()
+            row = r.copy()
+            op._solve_in_place(0.0, 3.0, row)
+            assert row.tobytes() == op.shifted_solve(0.0, 3.0, r).tobytes()
+            ref = weakref.ref(op)
+            del op
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cached_fourier_step_allocates_no_state():
