@@ -34,6 +34,9 @@ from . import reports
 from .bdf_coeffs import MAX_STEP_NUMBER, bdf_scheme
 from .config import BuiltProblem, RunConfig, build_problem, override, parse_config
 from .convergence_harness import (
+    DEFAULT_SEED,
+    THRESHOLD_NODES,
+    THRESHOLD_STEPS,
     consistency_errors,
     convergence_study,
     threshold_experiment,
@@ -122,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="stability-threshold ratio experiment")
     _add_k(p, required=True)
     p.add_argument("--ratios", help="comma-separated coefficient ratios b/a")
-    p.add_argument("--nodes", type=int, default=48)
-    p.add_argument("--steps", type=int, default=8000)
-    p.add_argument("--seed", type=int, default=20260821)
+    p.add_argument("--nodes", type=int, default=THRESHOLD_NODES)
+    p.add_argument("--steps", type=int, default=THRESHOLD_STEPS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="output basename (default: threshold_k<k>)")
 
     return parser

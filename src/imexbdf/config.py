@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bdf_coeffs import MAX_STEP_NUMBER
-from .convergence_harness import ManufacturedProblem
+from .convergence_harness import DEFAULT_SEED, ManufacturedProblem
 from .errors import ConfigError
 from .expressions import FieldExpr, compile_field
 from .norms import parse_norm_token
@@ -302,7 +302,7 @@ def parse_config(text: str) -> RunConfig:
     for token in norms.split(","):
         parse_norm_token(token)
     stride = _get_int(output, "output", "stride", default=1, minimum=1)
-    seed = _get_int(output, "output", "seed", default=20260821, minimum=0)
+    seed = _get_int(output, "output", "seed", default=DEFAULT_SEED, minimum=0)
 
     return RunConfig(
         example=example,

@@ -338,8 +338,9 @@ class ThresholdReport:
 
 
 DEFAULT_RATIO_MULTIPLIERS = (0.85, 0.92, 1.08, 1.15)
-_THRESHOLD_NODES = 48
-_THRESHOLD_STEPS = 8000
+THRESHOLD_NODES = 48
+THRESHOLD_STEPS = 8000
+DEFAULT_SEED = 20260821  # of the threshold starts and the random starts of CLI solve
 # tau ladder targets: tau * (largest operator eigenvalue modulus) walks
 # 0.3 .. 6 in 0.05-decade steps, dense enough that some step size lands
 # inside any unstable-window of the root locus
@@ -354,9 +355,9 @@ def default_threshold_ratios(scheme: BdfScheme) -> list[float]:
 def threshold_experiment(
     scheme: BdfScheme,
     ratio_list=None,
-    n_nodes: int = _THRESHOLD_NODES,
-    n_steps: int = _THRESHOLD_STEPS,
-    seed: int = 20260821,
+    n_nodes: int = THRESHOLD_NODES,
+    n_steps: int = THRESHOLD_STEPS,
+    seed: int = DEFAULT_SEED,
 ) -> ThresholdReport:
     """Bounded-versus-blow-up scan over imaginary-to-real coefficient
     ratios for the constant-coefficient diffusion problem.

@@ -2,18 +2,18 @@
 
 Two operator backends feed the time stepper through one interface:
 sparse finite differences for -div((a + ib) grad u) in conservative form
-on Dirichlet or periodic grids (one entries layout on every grid, its
-1-d bands factored by LAPACK's banded LU and its 2-d CSC matrix by
-SuperLU), and one spectral-diagonal operator, solved exactly in the
-basis that diagonalizes it.  Nonlinear terms B(t, v) are evaluated on
-grid states, one job per class: pointwise maps, div g(v), f(v, grad v),
-the spectral Laplacian of f(v), and weighted sums.  The explicit parts
-of the paper's four examples are named once, in
-``NONLINEARITY_REGISTRY`` and ``EXAMPLE_TERMS``.  Grid operators take
-and return complex arrays shaped like the grid; ``shifted_solve`` never
-overwrites its right-hand side.  The stepper solves through the private
-``_solve_in_place``, which overwrites the right-hand side, a row of its
-trajectory block, with the solution.
+on Dirichlet or periodic grids (one entries layout on every grid, whose
+signs are checked for coercivity, its 1-d bands factored by LAPACK's
+banded LU and its 2-d CSC matrix by SuperLU), and one spectral-diagonal
+operator, solved exactly in the basis that diagonalizes it.  Nonlinear
+terms B(t, v) are evaluated on grid states, one job per class: pointwise
+maps, div g(v), f(v, grad v), the spectral Laplacian of f(v), and
+weighted sums.  The explicit parts of the paper's four examples are
+named once, in ``NONLINEARITY_REGISTRY`` and ``EXAMPLE_TERMS``.  Grid
+operators take and return complex arrays shaped like the grid;
+``shifted_solve`` never overwrites its right-hand side.  The stepper
+solves through the private ``_solve_in_place``, which overwrites the
+right-hand side, a row of its trajectory block, with the solution.
 """
 
 from __future__ import annotations
@@ -158,39 +158,19 @@ def _as_state(grid: Grid, v) -> np.ndarray:
     return arr
 
 
-def _probe_draws(shape: tuple[int, ...]):
-    """The 4 seeded random complex probes of the coercivity spot check, one at a time."""
-    rng = np.random.default_rng(12345)
-    for _ in range(4):
-        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-@functools.lru_cache(maxsize=8)
-def _coercivity_probes(shape: tuple[int, ...]) -> np.ndarray:
-    probes = np.array(list(_probe_draws(shape)))
-    probes.setflags(write=False)
-    return probes
-
-
-@functools.lru_cache(maxsize=8)
-def _stencil_forms(shape: tuple[int, ...], periodic: bool) -> np.ndarray:
-    """Row i: what each of the entries of ``_build`` adds to Re<Av, v>
-    for probe v = p_i, so forms @ entries.real is Re<Av, v>.  An entry
-    adds Re(conj(p_r) p_c) for each slot (r, c) of the matrix it fills
-    (``_stencil_pattern``): |p_r|^2 as the node sum at r, 2 Re(conj(p_r) p_c)
-    as the link of nodes r and c, whose two slots' imaginary parts
-    cancel, and 0 as a Dirichlet boundary interface, which links no nodes."""
-    indptr, rows, _, gather = _stencil_pattern(shape, periodic)
-    cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    count = math.prod(shape) + sum(
-        math.prod(_iface_shape(shape, axis, periodic)) for axis in range(len(shape))
-    )
-    forms = np.empty((4, count))
-    for row, p in zip(forms, _probe_draws(shape)):  # one probe at a time, kept real
-        re, im = p.real.ravel(), p.imag.ravel()
-        row[...] = np.bincount(gather, re[rows] * re[cols] + im[rows] * im[cols], count)
-    forms.setflags(write=False)
-    return forms
+def _check_stencil(entries: np.ndarray, size: int) -> None:
+    """Raise CoercivityError unless the entries of ``_build`` are finite,
+    the first ``size`` (node sums) have positive real parts and the links
+    nonpositive ones.  A node sum adds up its links' coefficients, so the
+    real part is then a symmetric, diagonally dominant M-matrix and
+    Re<Av, v> >= 0 (Varga, Matrix Iterative Analysis, ch. 3): the check
+    catches sign errors, not lost dominance.  Against Re<Av, v> > 0 on
+    random v it also rejects a node sum that overflowed to +inf beside
+    finite links, and one that rounded to 0, coupling its node to nothing."""
+    re = entries.real  # ufunc reductions skip the wrappers of .min() and .max()
+    finite = np.logical_and.reduce(np.isfinite(entries.view(float)))
+    if not (finite and 0.0 < np.minimum.reduce(re[:size]) and np.maximum.reduce(re[size:]) <= 0.0):
+        raise CoercivityError("diffusion stencil needs finite entries, node sums > 0, links <= 0")
 
 
 class LinearOperator(ABC):
@@ -230,10 +210,10 @@ class SparseDiffusionOperator(LinearOperator):
     c_i above) / h_i^2, then the links -c_i / h_i^2 at the interfaces of
     each axis i in turn, from the interface coefficients c_i(t).  One CSC
     pattern and gather index per grid shape place them in the matrix
-    (``_stencil_pattern``).  A new A(t) must give Re<Av, v> > 0 for 4
-    seeded random v: one dot product of the entries each, with forms in v
-    cached per grid (``_stencil_forms``).  In 1-d the three bands and the
-    periodic corners are views of the entries, sliced once per time level;
+    (``_stencil_pattern``).  A new A(t) must have finite entries, node
+    sums with positive real parts and links with nonpositive ones, which
+    gives Re<Av, v> >= 0 (``_check_stencil``).  In 1-d the three bands and
+    the periodic corners are views of the entries, sliced once per time level;
     a partially pivoted tridiagonal LU (``_TridiagonalLU``, LAPACK
     zgttrf/zgttrs) factors them, the corners added by Sherman-Morrison.
     In 2-d the matrix is cached read-only, since ``assemble`` hands it
@@ -301,22 +281,19 @@ class SparseDiffusionOperator(LinearOperator):
         return self._csc(stencil[0][self._gather])
 
     def _stencil(self, t: float):
-        """A(t), spot-checked: in 1-d the entries of ``_build`` and their
-        bands (sub, diag, sup, corners), in 2-d the read-only CSC matrix
-        of the gathered entries; the last one is cached."""
+        """A(t), checked by ``_check_stencil``: in 1-d the entries of
+        ``_build`` and their bands (sub, diag, sup, corners), in 2-d the
+        read-only CSC matrix of the gathered entries; the last one is cached."""
         key = self._time_key(t)
         with self._lock:
             cached_key, stencil = self._stencil_cache
         if cached_key == key:
             return stencil
         entries = self._build(t)
-        periodic = self.grid.boundary == PERIODIC
-        # catches sign errors, not genuine indefiniteness in adversarial corners
-        values = _stencil_forms(self.grid.shape, periodic) @ entries.real
-        if not (values > 0.0).all():  # NaN fails too
-            raise CoercivityError("diffusion operator: Re<Av,v> not positive for a random state")
+        _check_stencil(entries, self.grid.size)
         if self.grid.ndim == 1:  # interface 0 is the periodic corner, or a Dirichlet boundary
             diag, links = entries[: self.grid.size], entries[self.grid.size :]
+            periodic = self.grid.boundary == PERIODIC
             off, corners = (links[1:], links[[0, 0]]) if periodic else (links[1:-1], links[:0])
             stencil = entries, (off, diag, off, corners)
         else:
@@ -327,12 +304,12 @@ class SparseDiffusionOperator(LinearOperator):
             self._stencil_cache = (key, stencil)
         return stencil
 
+    @np.errstate(all="ignore")  # the guards report an inf or NaN field or entry, not numpy
     def _build(self, t: float) -> np.ndarray:
         """A(t) as its entries before the gather (``_stencil_pattern``): the
         node sums sum_i (c_i below + c_i above) / h_i^2, then -c_i / h_i^2
         at the interfaces of each axis i in turn."""
-        with np.errstate(all="ignore"):  # the guard reports an inf or NaN field, not numpy
-            coeffs = [self._midpoint_coeffs(t, axis) for axis in range(self.grid.ndim)]
+        coeffs = [self._midpoint_coeffs(t, axis) for axis in range(self.grid.ndim)]
         entries = np.zeros(self.grid.size + sum(c.size for c in coeffs), dtype=complex)
         nodes = entries[: self.grid.size].reshape(self.grid.shape)
         offset = self.grid.size
@@ -510,11 +487,6 @@ def _interface_coords(grid: Grid, axis: int) -> tuple[np.ndarray, ...]:
     return _mesh(*axes)
 
 
-def _iface_shape(shape: tuple[int, ...], axis: int, periodic: bool) -> tuple[int, ...]:
-    """Shape of the interfaces along ``axis`` (``_interface_coords``)."""
-    return shape if periodic else tuple(n + (i == axis) for i, n in enumerate(shape))
-
-
 def _along(axis: int, index) -> tuple:
     """The index that takes ``index`` along ``axis`` and all of every other axis."""
     return (slice(None),) * axis + (index,)
@@ -544,7 +516,8 @@ def _stencil_pattern(shape: tuple[int, ...], periodic: bool):
     rows, cols, values = [node.ravel()], [node.ravel()], [node.ravel()]
     offset = size
     for axis in range(len(shape)):
-        iface_shape = _iface_shape(shape, axis, periodic)
+        # the interfaces along ``axis`` (``_interface_coords``)
+        iface_shape = shape if periodic else tuple(n + (i == axis) for i, n in enumerate(shape))
         iface = offset + np.arange(math.prod(iface_shape)).reshape(iface_shape)
         # each node couples to its successor through the interface above it
         src, dst = node, np.roll(node, -1, axis)

@@ -636,18 +636,24 @@ class TestEnvironment:
         assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize(
-        "a, code, prefix",
+        "extent, a, code, prefix",
         [
-            ("1 + 1/abs(x - 0.5)", 2, "config error: "),
+            ("0, 1", "1 + 1/abs(x - 0.5)", 2, "config error: "),
             # finite at t = 0, infinite at the interface x = 0.5 at t = 0.01
-            ("1 + 1/abs(x - 0.5 + t - 0.01)", 3, "numerical failure: "),
+            ("0, 1", "1 + 1/abs(x - 0.5 + t - 0.01)", 3, "numerical failure: "),
+            # h is about 111: the links -a / h^2 stay finite, the node sums overflow
+            ("0, 1000", "1e308", 2, "config error: "),
+            # finite, but past 0.9e308 (1e308 at t = 0.01), where the node sums overflow
+            ("0, 1000", "1 + 1e308*t*t*1e4", 3, "numerical failure: "),
         ],
-        ids=["at-set-up", "during-the-march"],
+        ids=["at-set-up", "during-the-march", "overflow-at-set-up", "overflow-during-the-march"],
     )
-    def test_singular_coefficient_prints_only_the_cli_line(self, capfd, tmp_path, a, code, prefix):
+    def test_singular_coefficient_prints_only_the_cli_line(
+        self, capfd, tmp_path, extent, a, code, prefix
+    ):
         cfg = tmp_path / "singular.ini"
         cfg.write_text(
-            f"[problem]\nexample = 1\npoints = 8\na = {a}\n"
+            f"[problem]\nexample = 1\nextent = {extent}\npoints = 8\na = {a}\n"
             "[scheme]\nk = 2\n[time]\ntau = 0.01\nsteps = 4\n"
         )
         argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]

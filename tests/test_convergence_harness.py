@@ -125,8 +125,8 @@ def test_example1_run_builds_and_checks_once_per_node(k, npts, monkeypatch):
     monkeypatch.setattr(
         SparseDiffusionOperator, "_build", lambda op, t: builds.append(t) or build(op, t)
     )
-    forms = ops._stencil_forms  # the spot check in 1-d and 2-d
-    monkeypatch.setattr(ops, "_stencil_forms", lambda *key: checks.append(key) or forms(*key))
+    check = ops._check_stencil  # the stencil check in 1-d and 2-d
+    monkeypatch.setattr(ops, "_check_stencil", lambda *args: checks.append(args) or check(*args))
     if npts == 24:
         grid = dirichlet_grid((0.0, 1.0), npts)
         a = lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t)  # noqa: E731
